@@ -14,14 +14,13 @@ import (
 
 // fallbackExperiment measures the mixed big/small workload the
 // fine-grained hybrid slow path exists for: one capacity-bound writer
-// loops forever down the fallback path (its write set is one line past
-// MaxWriteLines, so every attempt aborts with CauseCapacity and
-// RunHybrid takes the fallback) while N small read-modify-write
-// transactions on disjoint private lines run for the measurement
-// interval. Under the legacy global lock the small transactions
-// subscribe and stall for every fallback session; on the fine-grained
-// path they share no lines with the writer and keep committing
-// mid-fallback.
+// loops forever down the slow path (its write set is one line past
+// MaxWriteLines, so every attempt aborts with CauseCapacity and Atomic
+// takes the slow path) while N small read-modify-write transactions on
+// disjoint private lines run for the measurement interval. Under the
+// legacy global lock the small transactions subscribe and stall for
+// every slow-path run; on the fine-grained path they share no lines with
+// the writer and keep committing mid-fallback.
 //
 // Rows land in the bdhtm-bench/v1 report with full small-transaction
 // latency percentiles and the HTM commit/abort/fallback breakdown. The
@@ -45,7 +44,7 @@ func fallbackExperiment() {
 			fmt.Printf("%-22s %8d %12.3f %11.1f µs %11.1f µs %12d\n",
 				"fallback-mixed/"+mode, g, mops,
 				float64(r.lat.P50)/1e3, float64(r.lat.P99)/1e3,
-				r.htm.Fallback["acquires"])
+				r.tm.Fallback["acquires"])
 			harness.AppendRow(obs.BenchRow{
 				Structure: "fallback-mixed/" + mode,
 				Threads:   g,
@@ -55,7 +54,7 @@ func fallbackExperiment() {
 				ElapsedNS: r.elapsed.Nanoseconds(),
 				Mops:      mops,
 				Latency:   r.lat,
-				HTM:       r.htm,
+				HTM:       r.tm,
 			})
 		}
 	}
@@ -72,7 +71,7 @@ type fallbackPoint struct {
 	ops     int64
 	elapsed time.Duration
 	lat     *obs.LatencySummary
-	htm     *obs.HTMSummary
+	tm      *obs.HTMSummary
 }
 
 // runFallbackPoint runs one matrix point: the background fallback
@@ -86,7 +85,6 @@ func runFallbackPoint(g int, global bool) fallbackPoint {
 	if benchObs != nil {
 		tm.SetObs(benchObs)
 	}
-	lock := htm.NewFallbackLock(tm)
 	bigLines := maxWriteLines + 1
 	big := make([]uint64, bigLines*8)
 	stop := make(chan struct{})
@@ -102,13 +100,9 @@ func runFallbackPoint(g int, global bool) fallbackPoint {
 			default:
 			}
 			i++
-			tm.RunHybrid(lock, 2, func(tx *htm.Tx) {
+			tm.Atomic(nil, func(tx *htm.Tx) {
 				for l := 0; l < bigLines; l++ {
 					tx.Store(&big[l*8], i)
-				}
-			}, func(f *htm.Fallback) {
-				for l := 0; l < bigLines; l++ {
-					f.Store(&big[l*8], i)
 				}
 			})
 		}
@@ -131,21 +125,10 @@ func runFallbackPoint(g int, global bool) fallbackPoint {
 			var i uint64
 			for time.Now().Before(deadline) {
 				opStart := time.Now()
-				for {
-					res := tm.Attempt(func(tx *htm.Tx) {
-						if !tm.Hybrid() {
-							tx.Subscribe(lock)
-						}
-						tx.Store(&region[0], tx.Load(&region[0])+1)
-						tx.Store(&region[8], i)
-					})
-					if res.Committed {
-						break
-					}
-					if !tm.Hybrid() && res.Cause == htm.CauseLocked {
-						lock.WaitUnlocked()
-					}
-				}
+				tm.Atomic(nil, func(tx *htm.Tx) {
+					tx.Store(&region[0], tx.Load(&region[0])+1)
+					tx.Store(&region[8], i)
+				})
 				samples = append(samples, time.Since(opStart))
 				i++
 			}
@@ -180,7 +163,7 @@ func runFallbackPoint(g int, global bool) fallbackPoint {
 		ops:     int64(len(all)),
 		elapsed: elapsed,
 		lat:     lat,
-		htm: &obs.HTMSummary{
+		tm: &obs.HTMSummary{
 			Attempts:   d.Attempts(),
 			Commits:    d.Commits,
 			CommitRate: d.CommitRate(),

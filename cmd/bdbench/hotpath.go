@@ -129,19 +129,14 @@ func hotpathTx(name string, threads, nReads, nWrites int) {
 			var n, sink uint64
 			for time.Now().Before(deadline) {
 				for i := 0; i < 256; i++ {
-					for {
-						res := tm.Attempt(func(tx *htm.Tx) {
-							for r := 0; r < nReads; r++ {
-								sink += tx.Load(&region[r*8])
-							}
-							for wr := 0; wr < nWrites; wr++ {
-								tx.Store(&region[(nReads+wr)*8], n)
-							}
-						})
-						if res.Committed {
-							break
+					tm.Atomic(nil, func(tx *htm.Tx) {
+						for r := 0; r < nReads; r++ {
+							sink += tx.Load(&region[r*8])
 						}
-					}
+						for wr := 0; wr < nWrites; wr++ {
+							tx.Store(&region[(nReads+wr)*8], n)
+						}
+					})
 					n++
 				}
 			}

@@ -11,9 +11,11 @@
 //     flush/fence, unpredictable eviction, crash/recovery, an Optane-like
 //     latency model, and eADR/DRAM modes;
 //   - internal/htm — simulated best-effort HTM (line-granularity
-//     conflicts, capacity and spurious aborts, explicit abort codes,
-//     fallback-lock subscription); persist instructions abort
-//     transactions, reproducing the central incompatibility;
+//     conflicts, capacity and spurious aborts, explicit abort codes)
+//     behind one entry point, TM.Atomic, which retries a body and then
+//     runs the same body on a fine-grained or global-lock slow path;
+//     persist instructions abort transactions, reproducing the central
+//     incompatibility;
 //   - internal/palloc — a persistent slab allocator with durable block
 //     headers and crash recovery;
 //   - internal/epoch — the paper's contribution: a buffered-durable

@@ -2,14 +2,15 @@
 // paper's Listing 1 — the tutorial structure for the BDL + HTM strategy.
 //
 // The bucket array lives in DRAM and holds addresses of KV blocks in NVM.
-// Every operation runs inside one hardware transaction (with a global-lock
-// fallback), brackets itself with BeginOp/EndOp, and follows the epoch
-// discipline:
+// Every operation runs as one htm.TM.Atomic call (a hardware transaction
+// with the TM's slow-path fallback), brackets itself with BeginOp/EndOp,
+// and follows the epoch discipline:
 //
 //   - a preallocated NVM block (with invalid epoch) is kept per worker so
 //     that allocation never happens inside the transaction;
 //   - the block is stamped with the operation's epoch inside the
-//     transaction, before the linearization point;
+//     transaction, before the linearization point, and only on the
+//     branch that links it;
 //   - a block from an older epoch is replaced out-of-place and retired;
 //     a block from the *current* epoch is updated in place (pSet);
 //   - finding a block from a *newer* epoch aborts with OldSeeNewCode and
@@ -37,19 +38,15 @@ const (
 	// maxProbeBuckets is the linear-probing window: an operation scans
 	// at most this many consecutive buckets.
 	maxProbeBuckets = 4
-	// maxRetries bounds transactional retries before the fallback path.
-	maxRetries = 32
 )
 
 // Table is a buffered-durable hash table mapping uint64 keys to uint64
 // values. All methods are safe for concurrent use; each goroutine passes
 // its own epoch.Worker.
 type Table struct {
-	sys    *epoch.System
-	tm     *htm.TM
-	lock   *htm.FallbackLock
-	hybrid bool // fine-grained slow path; transactions skip subscription
-	tag    uint8
+	sys *epoch.System
+	tm  *htm.TM
+	tag uint8
 
 	nBuckets uint64 // power of two
 	slots    []uint64
@@ -86,8 +83,6 @@ func New(sys *epoch.System, tm *htm.TM, capacity int, tag uint8) *Table {
 	return &Table{
 		sys:      sys,
 		tm:       tm,
-		lock:     htm.NewFallbackLock(tm),
-		hybrid:   tm.Hybrid(),
 		tag:      tag,
 		nBuckets: nBuckets,
 		slots:    make([]uint64, nBuckets*BucketSize),
@@ -142,56 +137,17 @@ retryRegist:
 	newBlk.InitKV(k, v) // initialize block, epoch reset to invalid
 
 	var out insertOutcome
-	retries := 0
-	preWalked := false
-retryTxn:
-	out = insertOutcome{}
-	var opts []htm.AttemptOption
-	if preWalked {
-		opts = append(opts, htm.PreWalked())
-	}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
-		newBlk.SetEpochTx(tx, opEpoch)
-		t.insertBody(tx, w, opEpoch, k, v, newBlk, &out)
-	}, opts...)
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		out = insertOutcome{}
+		t.insertBody(tx, opEpoch, k, v, newBlk, &out)
+	}, htm.PreWalk(func() { t.preWalk(k) }))
+	if res.Code == epoch.OldSeeNewCode {
 		w.AbortOp() // restart in the (newer) current epoch
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	case res.Cause == htm.CauseMemType:
-		t.preWalk(k)
-		preWalked = true
-		retries++
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		// Fallback path under the global lock.
-		if !t.insertFallback(w, opEpoch, k, v, newBlk, &out) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	if out.full {
 		w.AbortOp()
 		panic(fmt.Sprintf("bdhash: probe window full inserting key %d; table under-sized", k))
-	}
-	if !out.usedPrealloc {
-		// The committed transaction stamped the preallocated block's
-		// epoch (before knowing whether it would be needed) but took the
-		// in-place path. Re-invalidate it before EndOp — otherwise a
-		// crash after this epoch persists would resurrect the unlinked
-		// block as a phantom insert (the Sec. 5 pitfall).
-		newBlk.ResetEpoch()
 	}
 	if !out.retire.IsNil() {
 		w.PRetire(out.retire)
@@ -209,8 +165,15 @@ retryTxn:
 	return out.replaced
 }
 
-// insertBody is the transactional insert of Listing 1 (lines 17-37).
-func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
+// insertBody is the transactional insert of Listing 1 (lines 17-37). It
+// stamps the preallocated block only on the branches that link it.
+// Listing 1 stamps it first and re-invalidates it after an in-place
+// commit, but that reset is a volatile store: a write-back of the
+// block's line between the commit and the reset (an eviction, or a flush
+// of a neighbouring block) persists the stamp, and if the reset is not
+// written back before a crash, recovery resurrects the unlinked block as
+// a phantom duplicate of the key (the Sec. 5 pitfall).
+func (t *Table) insertBody(tx *htm.Tx, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) {
 	start, n := t.slotRange(k)
 	var empty *uint64
 	for i := uint64(0); i < n; i++ {
@@ -234,6 +197,7 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 			tx.Abort(epoch.OldSeeNewCode)
 		case be < opEpoch:
 			// Out-of-place update: swap in the preallocated block.
+			newBlk.SetEpochTx(tx, opEpoch)
 			tx.Store(sp, uint64(newBlk.Addr()))
 			out.retire = b
 			out.persist = newBlk
@@ -253,67 +217,10 @@ func (t *Table) insertBody(tx *htm.Tx, w *epoch.Worker, opEpoch, k, v uint64, ne
 	// Fresh insert: no block to epoch-compare, so the absence itself must
 	// be validated against newer removals.
 	t.removals.CheckTx(tx, k, opEpoch)
+	newBlk.SetEpochTx(tx, opEpoch)
 	tx.Store(empty, uint64(newBlk.Addr()))
 	out.persist = newBlk
 	out.usedPrealloc = true
-}
-
-// insertFallback runs the insert as a slow-path session: per-line locks
-// on the hybrid path, the global lock otherwise. It returns false if the
-// operation must restart in a newer epoch.
-func (t *Table) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block, out *insertOutcome) bool {
-	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		// The session body may be re-executed after a lock-order restart:
-		// reset all outputs and reach shared state only through f.
-		ok = true
-		*out = insertOutcome{}
-		start, n := t.slotRange(k)
-		var empty *uint64
-		for i := uint64(0); i < n; i++ {
-			sp := t.slotAt(start + i)
-			addr := f.Load(sp)
-			if addr == 0 {
-				if empty == nil {
-					empty = sp
-				}
-				continue
-			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
-			if b.KeyF(f) != k {
-				continue
-			}
-			be := b.EpochF(f)
-			switch {
-			case be > opEpoch:
-				ok = false // OldSeeNew: restart outside
-				return
-			case be < opEpoch:
-				newBlk.SetEpochF(f, opEpoch)
-				f.Store(sp, uint64(newBlk.Addr()))
-				out.retire = b
-				out.persist = newBlk
-				out.usedPrealloc = true
-			default:
-				b.SetValueF(f, v)
-			}
-			out.replaced = true
-			return
-		}
-		if empty == nil {
-			out.full = true
-			return
-		}
-		if !t.removals.OkF(f, k, opEpoch) {
-			ok = false // absence created by a newer-epoch removal
-			return
-		}
-		newBlk.SetEpochF(f, opEpoch)
-		f.Store(empty, uint64(newBlk.Addr()))
-		out.persist = newBlk
-		out.usedPrealloc = true
-	})
-	return ok
 }
 
 // preWalk touches the key's probe window non-transactionally, the paper's
@@ -340,63 +247,24 @@ func (t *Table) GetW(w *epoch.Worker, k uint64) (uint64, bool) {
 	if t.obs != nil {
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
-	attempt := t.tm.Attempt
-	if w != nil {
-		attempt = func(body func(tx *htm.Tx), opts ...htm.AttemptOption) htm.Result {
-			return w.Attempt(t.tm, body, opts...)
-		}
-	}
-	retries := 0
-	for {
-		var v uint64
-		var ok bool
-		res := attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
+	var v uint64
+	var ok bool
+	w.Atomic(t.tm, func(tx *htm.Tx) {
+		v, ok = 0, false
+		start, n := t.slotRange(k)
+		for i := uint64(0); i < n; i++ {
+			addr := tx.Load(t.slotAt(start + i))
+			if addr == 0 {
+				continue
 			}
-			v, ok = 0, false
-			start, n := t.slotRange(k)
-			for i := uint64(0); i < n; i++ {
-				addr := tx.Load(t.slotAt(start + i))
-				if addr == 0 {
-					continue
-				}
-				b := t.sys.BlockAt(nvm.Addr(addr))
-				if b.KeyTx(tx) == k {
-					v, ok = b.ValueTx(tx), true
-					return
-				}
+			b := t.sys.BlockAt(nvm.Addr(addr))
+			if b.KeyTx(tx) == k {
+				v, ok = b.ValueTx(tx), true
+				return
 			}
-		})
-		if res.Committed {
-			return v, ok
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-			continue
-		}
-		if retries++; t.hybrid && retries >= maxRetries {
-			// A long slow-path writer parked on this probe window would
-			// otherwise abort this loop indefinitely; a read-only session
-			// waits its turn per line instead.
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-				v, ok = 0, false
-				start, n := t.slotRange(k)
-				for i := uint64(0); i < n; i++ {
-					addr := f.Load(t.slotAt(start + i))
-					if addr == 0 {
-						continue
-					}
-					b := t.sys.BlockAt(nvm.Addr(addr))
-					if b.KeyF(f) == k {
-						v, ok = b.ValueF(f), true
-						return
-					}
-				}
-			})
-			return v, ok
-		}
-	}
+	})
+	return v, ok
 }
 
 // Remove deletes a key, reporting whether it was present.
@@ -408,13 +276,8 @@ retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
 	var removed bool
-	retries := 0
-retryTxn:
-	retire, removed = epoch.Block{}, false
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		retire, removed = epoch.Block{}, false
 		start, n := t.slotRange(k)
 		for i := uint64(0); i < n; i++ {
 			sp := t.slotAt(start + i)
@@ -438,23 +301,9 @@ retryTxn:
 		// Absent: make sure the absence is not a newer removal's work.
 		t.removals.CheckTx(tx, k, opEpoch)
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	if res.Code == epoch.OldSeeNewCode {
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		if !t.removeFallback(w, opEpoch, k, &retire, &removed) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	if removed {
 		w.PRetire(retire)
@@ -462,38 +311,6 @@ retryTxn:
 	}
 	w.EndOp()
 	return removed
-}
-
-func (t *Table) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block, removed *bool) bool {
-	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		ok = true
-		*retire, *removed = epoch.Block{}, false
-		start, n := t.slotRange(k)
-		for i := uint64(0); i < n; i++ {
-			sp := t.slotAt(start + i)
-			addr := f.Load(sp)
-			if addr == 0 {
-				continue
-			}
-			b := t.sys.BlockAt(nvm.Addr(addr))
-			if b.KeyF(f) != k {
-				continue
-			}
-			if b.EpochF(f) > opEpoch {
-				ok = false
-				return
-			}
-			t.removals.RaiseF(f, k, opEpoch)
-			f.Store(sp, 0)
-			*retire = b
-			*removed = true
-			return
-		}
-		// Absent: restart in a newer epoch if a newer removal made it so.
-		ok = t.removals.OkF(f, k, opEpoch)
-	})
-	return ok
 }
 
 // RebuildBlock reinserts one recovered block into the DRAM index. Call it

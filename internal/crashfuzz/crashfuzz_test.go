@@ -42,14 +42,13 @@ func TestFuzzAllSubjects(t *testing.T) {
 // TestBDHashPhantomRegression pins the round that detects the Listing-1
 // phantom-preallocated-block pitfall (DESIGN.md Sec. 6.1): a prealloc
 // block stamped with a valid epoch inside a committed transaction but
-// left unlinked must be re-invalidated before EndOp, or recovery
-// resurrects it as a phantom insert.
+// left unlinked is resurrected by recovery as a phantom insert, so the
+// stamp belongs on the branch that links the block.
 //
-// Mutation check: deleting the `if !out.usedPrealloc { newBlk.ResetEpoch() }`
-// guard in bdhash.Insert makes this round fail with "duplicate key in
-// recovery", and makes TestFuzzAllSubjects/bdhash fail within 200 rounds
-// at seed 0xbd0ff. Both were verified against the mutated tree; the
-// failure replays deterministically from the printed command.
+// Mutation check: moving bdhash.Insert's `newBlk.SetEpochTx` back to the
+// top of the transaction body makes `bdfuzz -subject bdhash -seed
+// 0xbd0ff -rounds 200` fail with "duplicate key in recovery"; this
+// multi-worker round catches it only in some schedules.
 func TestBDHashPhantomRegression(t *testing.T) {
 	p, err := ParseReplay("subject=bdhash seed=0xe79990bd4ec9ebeb ops=150 workers=4 keyspace=256 evict=0.90 events=1 crash-after=3 crash-step=0 tail-adv=0 adv-every=31 spurious=0.00 memtype=0.01")
 	if err != nil {

@@ -260,7 +260,20 @@ type crashSentinel struct{ point nvm.PersistPoint }
 // when the round passes and a Failure describing the first violation
 // otherwise. Subject panics (double frees, recovery invariant violations)
 // are converted into Failures so the round's replay line is not lost.
-func RunRound(p RoundParams) (f *Failure) {
+func RunRound(p RoundParams) *Failure { return runRound(p, roundObs()) }
+
+// roundObs is the telemetry recorder a round runs with. Every round has a
+// live tracer attached, so the fuzzer also exercises the obs hooks across
+// crash and recovery (the crash counter is cross-checked in crashCheck).
+func roundObs() *obs.Recorder {
+	rec := obs.New("crashfuzz")
+	rec.StartTrace(1 << 10)
+	return rec
+}
+
+// runRound is RunRound with the round's recorder supplied by the caller,
+// so tests can read which HTM paths the round took.
+func runRound(p RoundParams, rec *obs.Recorder) (f *Failure) {
 	p = Resolve(p)
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,9 +285,9 @@ func RunRound(p RoundParams) (f *Failure) {
 		return &Failure{Params: p, Msg: err.Error()}
 	}
 	if p.Workers <= 1 {
-		return runSingle(p, sub)
+		return runSingle(p, sub, rec)
 	}
-	return runConcurrent(p, sub)
+	return runConcurrent(p, sub, rec)
 }
 
 func cloneMap(m map[uint64]uint64) map[uint64]uint64 {
@@ -358,13 +371,8 @@ type session struct {
 	obs      *obs.Recorder
 }
 
-func newSession(p RoundParams, sub Subject) *session {
-	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered}
-	// Every round runs with telemetry and a live tracer attached, so the
-	// fuzzer also exercises the obs hooks across crash and recovery (the
-	// crash counter is cross-checked in crashCheck).
-	s.obs = obs.New("crashfuzz")
-	s.obs.StartTrace(1 << 10)
+func newSession(p RoundParams, sub Subject, rec *obs.Recorder) *session {
+	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered, obs: rec}
 	sub.Init(Env{
 		Seed:            p.Seed,
 		HeapWords:       DefaultHeapWords,
@@ -553,8 +561,8 @@ func subjectMsg(name string, err error) string {
 	return name + ": " + msg
 }
 
-func runSingle(p RoundParams, sub Subject) *Failure {
-	s := newSession(p, sub)
+func runSingle(p RoundParams, sub Subject, rec *obs.Recorder) *Failure {
+	s := newSession(p, sub, rec)
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }
 
 	opRNG := splitmix{s: Mix(p.Seed, 0x09)}
@@ -633,10 +641,8 @@ func runSingle(p RoundParams, sub Subject) *Failure {
 // while epochs advance in the background; after a quiesced crash the
 // recovered state is checked against the linearizability window (see
 // checker.go).
-func runConcurrent(p RoundParams, sub Subject) *Failure {
+func runConcurrent(p RoundParams, sub Subject, rec *obs.Recorder) *Failure {
 	buffered := sub.Durability() == Buffered
-	rec := obs.New("crashfuzz")
-	rec.StartTrace(1 << 10)
 	sub.Init(Env{
 		Seed:            p.Seed,
 		HeapWords:       DefaultHeapWords,

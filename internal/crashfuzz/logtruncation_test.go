@@ -22,7 +22,7 @@ func TestCrashMidLogTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSession(p, sub)
+	s := newSession(p, sub, roundObs())
 
 	// Buffered traffic with periodic advances, then quiesce so the log
 	// discipline has committed (and cleared its record) cleanly.

@@ -137,7 +137,7 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	if p.Seed&(1<<11) != 0 {
 		p.FGL = 0
 	}
-	s := newSession(p, sub)
+	s := newSession(p, sub, roundObs())
 	fail := func(err error) *Failure {
 		return &Failure{Params: p, Msg: fmt.Sprintf("%s (native fuzz input, seed 0x%x)", err, p.Seed)}
 	}

@@ -52,23 +52,6 @@ func (b Block) SetEpochTx(tx *htm.Tx, e uint64) {
 	tx.StoreAddr(b.sys.heap, b.addr, hdr.Pack())
 }
 
-// EpochF reads the block's epoch through a fallback session, locking the
-// header's line for the rest of the session (the slow-path analogue of
-// EpochTx's read-set entry).
-func (b Block) EpochF(f *htm.Fallback) uint64 {
-	return palloc.UnpackHeader(f.LoadAddr(b.sys.heap, b.addr)).Epoch
-}
-
-// SetEpochF stamps the block with an epoch through a fallback session
-// (the slow-path SetEpochTx). The buffered header write is published with
-// the session's other writes, so the stamp still precedes the store that
-// links the block.
-func (b Block) SetEpochF(f *htm.Fallback, e uint64) {
-	hdr := palloc.UnpackHeader(f.LoadAddr(b.sys.heap, b.addr))
-	hdr.Epoch = e
-	f.StoreAddr(b.sys.heap, b.addr, hdr.Pack())
-}
-
 // ResetEpoch non-transactionally resets the block's epoch to invalid.
 // Per the Sec. 5 guidelines, a preallocated block whose previous attempt
 // was interrupted must be re-invalidated when the operation restarts; this
@@ -97,11 +80,12 @@ func (b Block) Payload(i int) nvm.Addr { return palloc.Payload(b.addr) + nvm.Add
 func (b Block) Load(i int) uint64 { return b.sys.heap.Load(b.Payload(i)) }
 
 // Store writes payload word i non-transactionally. Use only on blocks not
-// yet visible to other threads (initialization, Listing 1 line 12) or from
-// the fallback path via DirectStore.
+// yet visible to other threads (initialization, Listing 1 line 12).
 func (b Block) Store(i int, v uint64) { b.sys.heap.Store(b.Payload(i), v) }
 
-// LoadTx reads payload word i inside a transaction.
+// LoadTx reads payload word i inside an htm.TM.Atomic body (on either
+// path; on the slow path the word's line is locked for the rest of the
+// session).
 func (b Block) LoadTx(tx *htm.Tx, i int) uint64 {
 	return tx.LoadAddr(b.sys.heap, b.Payload(i))
 }
@@ -112,17 +96,6 @@ func (b Block) LoadTx(tx *htm.Tx, i int) uint64 {
 // epoch's persist buffer, so no re-tracking is needed.
 func (b Block) StoreTx(tx *htm.Tx, i int, v uint64) {
 	tx.StoreAddr(b.sys.heap, b.Payload(i), v)
-}
-
-// LoadF reads payload word i through a fallback session.
-func (b Block) LoadF(f *htm.Fallback, i int) uint64 {
-	return f.LoadAddr(b.sys.heap, b.Payload(i))
-}
-
-// StoreF writes payload word i through a fallback session (the slow-path
-// pSet for in-place updates of current-epoch blocks).
-func (b Block) StoreF(f *htm.Fallback, i int, v uint64) {
-	f.StoreAddr(b.sys.heap, b.Payload(i), v)
 }
 
 // --- KV convenience -------------------------------------------------------
@@ -161,12 +134,3 @@ func (b Block) ValueTx(tx *htm.Tx) uint64 { return b.LoadTx(tx, 1) }
 // SetValueTx updates the value in place transactionally (pSet). Only legal
 // when the block's epoch equals the operation's epoch.
 func (b Block) SetValueTx(tx *htm.Tx, v uint64) { b.StoreTx(tx, 1, v) }
-
-// KeyF reads the key through a fallback session.
-func (b Block) KeyF(f *htm.Fallback) uint64 { return b.LoadF(f, 0) }
-
-// ValueF reads the value through a fallback session.
-func (b Block) ValueF(f *htm.Fallback) uint64 { return b.LoadF(f, 1) }
-
-// SetValueF updates the value in place through a fallback session.
-func (b Block) SetValueF(f *htm.Fallback, v uint64) { b.StoreF(f, 1, v) }

@@ -808,20 +808,22 @@ func (s *System) Sync() {
 // are simultaneously live.
 func (s *System) Register() *Worker {
 	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
 	if n := len(s.freeIDs); n > 0 {
 		id := s.freeIDs[n-1]
 		s.freeIDs = s.freeIDs[:n-1]
-		s.freeMu.Unlock()
 		return s.workers[id]
 	}
-	s.freeMu.Unlock()
+	// A fresh ID is allocated under freeMu: read outside it, two callers
+	// could take the same ID and one worker would overwrite the other's
+	// slot, its buffered blocks never collected.
 	id := int(s.nWorkers.Load())
 	if id >= s.cfg.MaxWorkers {
 		panic(fmt.Sprintf("epoch: more than %d workers", s.cfg.MaxWorkers))
 	}
 	w := &Worker{sys: s, id: id, shard: id & (s.cfg.Shards - 1)}
 	s.workers[id] = w
-	s.nWorkers.Add(1) // publish after the slot is filled
+	s.nWorkers.Store(int32(id + 1)) // publish after the slot is filled
 	return w
 }
 

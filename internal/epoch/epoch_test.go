@@ -196,7 +196,7 @@ func TestPNewInsideTxnPanics(t *testing.T) {
 			t.Fatal("PNew inside transaction should panic")
 		}
 	}()
-	w.Attempt(tm, func(tx *htm.Tx) {
+	w.Atomic(tm, func(tx *htm.Tx) {
 		w.PNew(2, 0)
 	})
 }

@@ -34,7 +34,7 @@ type Worker struct {
 	retireMark  int
 
 	// span is the sampled request span of the operation in progress (nil
-	// when unsampled): every HTM attempt routed through Attempt records
+	// when unsampled): every HTM attempt routed through Atomic records
 	// its outcome there, so service requests get per-cause abort counts
 	// without the structures knowing about spans.
 	span *obs.Span
@@ -130,10 +130,15 @@ func (w *Worker) PTrack(b Block) {
 // operation may retire a given block.
 func (w *Worker) PRetire(b Block) {
 	al := w.sys.alloc
+	// The delete epoch goes first: a write-back landing between the two
+	// stores (an eviction, or a flush of this block tracked in an earlier
+	// epoch) must never persist DELETED beside a stale delete epoch from
+	// the block's previous life, which recovery would take as a
+	// persisted deletion of a live block.
+	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	hdr := al.ReadHeader(b.addr)
 	hdr.Status = palloc.Deleted
 	al.WriteHeader(b.addr, hdr)
-	al.SetDeleteEpoch(b.addr, w.opEpoch)
 	buf := &w.bufs[w.opEpoch%numSlots]
 	buf.retire = append(buf.retire, b.addr)
 	w.sys.shardCtrs[w.shard].retired.Add(1)
@@ -155,12 +160,17 @@ func (w *Worker) SetSpan(sp *obs.Span) { w.span = sp }
 // Span returns the attached request span, or nil.
 func (w *Worker) Span() *obs.Span { return w.span }
 
-// Attempt runs body as one HTM attempt with the worker marked in-txn, so
-// that misuse of PNew/PDelete inside the transaction is caught. It is the
-// standard way structures combine HTM with the epoch system; any span
-// attached via SetSpan receives the attempt's outcome.
-func (w *Worker) Attempt(tm *htm.TM, body func(tx *htm.Tx), opts ...htm.AttemptOption) htm.Result {
+// Atomic runs body through tm.Atomic with the worker marked in-txn, so
+// that misuse of PNew/PDelete inside the body is caught, and with any
+// span attached via SetSpan receiving the fast-path attempts' outcomes.
+// It is the standard way structures combine HTM with the epoch system.
+// A nil worker runs body on tm directly, for structures whose transient
+// modes have no worker.
+func (w *Worker) Atomic(tm *htm.TM, body func(tx *htm.Tx), opts ...htm.Option) htm.Result {
+	if w == nil {
+		return tm.Atomic(nil, body, opts...)
+	}
 	w.inTxn = true
 	defer func() { w.inTxn = false }()
-	return tm.AttemptSpan(w.span, body, opts...)
+	return tm.Atomic(w.span, body, opts...)
 }

@@ -16,7 +16,7 @@ func TestReadSetBoundaryExact(t *testing.T) {
 	tm := New(Config{MaxReadLines: limit})
 	region := regionLines(limit + 1)
 	for _, lines := range []int{limit, limit + 1} {
-		res := tm.Attempt(func(tx *Tx) {
+		res := tm.attempt(func(tx *Tx) {
 			for i := 0; i < lines; i++ {
 				tx.Load(&region[i*8])
 			}
@@ -36,7 +36,7 @@ func TestWriteSetBoundaryExact(t *testing.T) {
 	tm := New(Config{MaxWriteLines: limit})
 	region := regionLines(limit + 1)
 	for _, lines := range []int{limit, limit + 1} {
-		res := tm.Attempt(func(tx *Tx) {
+		res := tm.attempt(func(tx *Tx) {
 			for i := 0; i < lines; i++ {
 				tx.Store(&region[i*8], uint64(i))
 			}
@@ -63,7 +63,7 @@ func TestReadSetConfiguredAboveOldFixedCap(t *testing.T) {
 	const lines = 13000
 	tm := New(Config{MaxReadLines: 16384})
 	region := regionLines(lines)
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		for i := 0; i < lines; i++ {
 			tx.Load(&region[i*8])
 		}
@@ -83,7 +83,7 @@ func TestWriteSetConfiguredAboveOldFixedCap(t *testing.T) {
 	const lines = 6500
 	tm := New(Config{MaxWriteLines: 7000})
 	region := regionLines(lines)
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		for i := 0; i < lines; i++ {
 			tx.Store(&region[i*8], uint64(i))
 		}

@@ -47,14 +47,14 @@ func BenchmarkHotPath(b *testing.B) {
 		})
 	}
 	// The mixed big/small matrix: one capacity-bound writer loops forever
-	// down the fallback slow path (its write set is one line past
-	// MaxWriteLines, so every attempt aborts with CauseCapacity and
-	// RunHybrid takes the fallback) while g small read-modify-write
-	// transactions on disjoint private lines measure their own latency.
-	// mode=global serializes the small transactions against the writer
-	// through the legacy FallbackLock subscription; mode=fine is the
-	// hybrid path, where disjoint lines never conflict and the small
-	// transactions keep committing mid-fallback. The reported p99-ns
+	// down the slow path (its write set is one line past MaxWriteLines,
+	// so every attempt aborts with CauseCapacity and Atomic takes the
+	// slow path) while g small read-modify-write transactions on
+	// disjoint private lines measure their own latency. mode=global
+	// serializes the small transactions against the writer through the
+	// global lock subscription; mode=fine is the hybrid path, where
+	// disjoint lines never conflict and the small transactions keep
+	// committing mid-fallback. The reported p99-ns
 	// metric is the small-transaction p99 — the headline number the
 	// fine-grained path exists to shrink.
 	for _, global := range []bool{true, false} {
@@ -76,7 +76,6 @@ func BenchmarkHotPath(b *testing.B) {
 // small-transaction p99 latency.
 func benchFallbackMixed(b *testing.B, g int, global bool) {
 	tm := New(Config{GlobalFallback: global})
-	lock := NewFallbackLock(tm)
 	bigLines := tm.cfg.MaxWriteLines + 1
 	big := make([]uint64, bigLines*8)
 	stop := make(chan struct{})
@@ -92,13 +91,9 @@ func benchFallbackMixed(b *testing.B, g int, global bool) {
 			default:
 			}
 			i++
-			tm.RunHybrid(lock, 2, func(tx *Tx) {
+			tm.Atomic(nil, func(tx *Tx) {
 				for l := 0; l < bigLines; l++ {
 					tx.Store(&big[l*8], i)
-				}
-			}, func(f *Fallback) {
-				for l := 0; l < bigLines; l++ {
-					f.Store(&big[l*8], i)
 				}
 			})
 		}
@@ -119,21 +114,10 @@ func benchFallbackMixed(b *testing.B, g int, global bool) {
 			samples := make([]time.Duration, 0, per)
 			for i := 0; i < per; i++ {
 				start := time.Now()
-				for {
-					res := tm.Attempt(func(tx *Tx) {
-						if !tm.Hybrid() {
-							tx.Subscribe(lock)
-						}
-						tx.Store(&region[0], tx.Load(&region[0])+1)
-						tx.Store(&region[8], uint64(i))
-					})
-					if res.Committed {
-						break
-					}
-					if !tm.Hybrid() && res.Cause == CauseLocked {
-						lock.WaitUnlocked()
-					}
-				}
+				tm.Atomic(nil, func(tx *Tx) {
+					tx.Store(&region[0], tx.Load(&region[0])+1)
+					tx.Store(&region[8], uint64(i))
+				})
 				samples = append(samples, time.Since(start))
 			}
 			lat[w] = samples
@@ -179,19 +163,14 @@ func benchTxSpan(b *testing.B, g, nReads, nWrites, every int) {
 			var sink uint64
 			for i := 0; i < per; i++ {
 				sp := rec.SampleSpan(uint64(w)<<32|uint64(i), uint64(w), 1)
-				for {
-					res := tm.AttemptSpan(sp, func(tx *Tx) {
-						for r := 0; r < nReads; r++ {
-							sink += tx.Load(&region[r*8])
-						}
-						for wr := 0; wr < nWrites; wr++ {
-							tx.Store(&region[(nReads+wr)*8], uint64(i))
-						}
-					})
-					if res.Committed {
-						break
+				tm.Atomic(sp, func(tx *Tx) {
+					for r := 0; r < nReads; r++ {
+						sink += tx.Load(&region[r*8])
 					}
-				}
+					for wr := 0; wr < nWrites; wr++ {
+						tx.Store(&region[(nReads+wr)*8], uint64(i))
+					}
+				})
 				sp.Finish()
 			}
 			_ = sink
@@ -225,19 +204,14 @@ func benchTx(b *testing.B, g, nReads, nWrites int) {
 			region := regions[w]
 			var sink uint64
 			for i := 0; i < per; i++ {
-				for {
-					res := tm.Attempt(func(tx *Tx) {
-						for r := 0; r < nReads; r++ {
-							sink += tx.Load(&region[r*8])
-						}
-						for wr := 0; wr < nWrites; wr++ {
-							tx.Store(&region[(nReads+wr)*8], uint64(i))
-						}
-					})
-					if res.Committed {
-						break
+				tm.Atomic(nil, func(tx *Tx) {
+					for r := 0; r < nReads; r++ {
+						sink += tx.Load(&region[r*8])
 					}
-				}
+					for wr := 0; wr < nWrites; wr++ {
+						tx.Store(&region[(nReads+wr)*8], uint64(i))
+					}
+				})
 			}
 			_ = sink
 		}(w)

@@ -19,10 +19,9 @@
 //   - Persist operations (clwb/sfence) are incompatible with transactions:
 //     Tx.Flush and Tx.Fence always abort with CausePersistOp. This is the
 //     central incompatibility the paper resolves with buffered durability.
-//   - A FallbackLock provides the standard global-lock fallback path with
-//     lock subscription: transactions that Subscribe abort when the lock is
-//     taken, and fallback-path writes (DirectStore) are visible to the
-//     conflict-detection mechanism.
+//   - TM.Atomic is the one entry point. It owns the retry-then-fallback
+//     policy of the paper's Listing 1 and runs the same body on the slow
+//     path when the fast path gives up (see atomic.go).
 //
 // Transactions address ordinary Go words (*uint64) and simulated NVM words
 // (nvm.Heap + nvm.Addr) uniformly; speculative writes are buffered in the
@@ -63,8 +62,8 @@ const (
 	CauseCapacity
 	// CauseExplicit: the transaction called Abort with a user code.
 	CauseExplicit
-	// CauseLocked: the transaction observed a subscribed fallback lock
-	// held and aborted to wait for it.
+	// CauseLocked: under Config.GlobalFallback, the transaction found the
+	// TM's fallback lock held and aborted to wait for it.
 	CauseLocked
 	// CauseSpurious: a transient event (interrupt, fault) killed the
 	// transaction.
@@ -102,7 +101,8 @@ func (c AbortCause) String() string {
 	}
 }
 
-// Result reports the outcome of one transaction attempt.
+// Result reports the outcome of one transaction attempt, or of a whole
+// Atomic call.
 type Result struct {
 	Committed bool
 	Cause     AbortCause
@@ -134,11 +134,10 @@ type Config struct {
 	// default, so injection is deterministic either way; fuzzers vary the
 	// seed per round to explore different abort interleavings.
 	Seed uint64
-	// GlobalFallback restores the pre-hybrid slow path: RunFallback and
-	// RunHybrid serialize through the structure's FallbackLock and
-	// fast-path transactions subscribe to its one word. The default
-	// (false) is the fine-grained hybrid path, where a fallback locks
-	// only the lines it touches.
+	// GlobalFallback restores the pre-hybrid slow path: slow-path runs
+	// serialize through one TM-owned lock word and every fast-path
+	// attempt subscribes to it. The default (false) is the fine-grained
+	// hybrid path, where a slow-path run locks only the lines it touches.
 	GlobalFallback bool
 }
 
@@ -179,8 +178,14 @@ type TM struct {
 	held atomic.Int64
 
 	// fbMu serializes fallback sessions that failed to make progress
-	// with bounded waiting (see RunFallback's escalation).
+	// with bounded waiting (see hybridSession's escalation).
 	fbMu sync.Mutex
+
+	// gword is the GlobalFallback lock word, 1 while a slow-path run
+	// holds it, on a cache line of its own.
+	_     [7]uint64
+	gword uint64
+	_     [7]uint64
 
 	stats Stats
 	obs   *obs.Recorder
@@ -220,10 +225,6 @@ func New(cfg Config) *TM {
 
 // Default returns a TM with default configuration and no abort injection.
 func Default() *TM { return New(Config{}) }
-
-// Hybrid reports whether the TM uses the fine-grained hybrid slow path
-// (the default) rather than the global FallbackLock.
-func (tm *TM) Hybrid() bool { return !tm.cfg.GlobalFallback }
 
 // Stats returns a snapshot of commit/abort counters.
 func (tm *TM) Stats() StatsSnapshot { return tm.stats.snapshot() }
@@ -265,10 +266,20 @@ type writeEntry struct {
 	addr nvm.Addr
 }
 
-// Tx is a transaction attempt in progress. A Tx is only valid inside the
-// body function passed to Attempt and must not escape it.
+// txMode says which path a Tx runs on.
+type txMode uint8
+
+const (
+	modeFast   txMode = iota // a speculative attempt
+	modeHybrid               // a fine-grained slow-path session
+	modeGlobal               // a slow-path run under the global lock
+)
+
+// Tx is one run of an Atomic body, on the fast path or the slow path. A
+// Tx is only valid inside the body and must not escape it.
 type Tx struct {
 	tm       *TM
+	mode     txMode
 	id       uint64
 	rv       uint64
 	reads    kvSet // line key -> observed slot version word
@@ -283,11 +294,18 @@ type Tx struct {
 	// acquisition; aborts revert from it, and read-validation finds a
 	// held slot's pre-lock version by binary search on the sorted
 	// lockOrder where the old []lockedSlot needed an O(locked) linear
-	// scan per validated read.
+	// scan per validated read. A hybrid session keeps the slots it holds
+	// in the same pair, inserted in order as it locks them.
 	lockOrder []uint64
 	lockPrev  []uint64
 
 	res Result
+
+	// Slow-path session state (see atomic.go).
+	owner     uint64 // slot word while holding: fbOwnerBit | id<<1 | 1
+	written   []bool // scratch for release: slot covers a buffered write
+	restarts  int
+	escalated bool
 }
 
 // lookupWrite returns the buffered write for p, or nil.
@@ -306,12 +324,22 @@ func (tx *Tx) abort(cause AbortCause, code uint8) {
 }
 
 // Abort explicitly aborts the transaction with a user code, like _xabort.
+// On either path the run leaves no trace in memory, and Atomic returns
+// Result{Cause: CauseExplicit, Code: code}.
 func (tx *Tx) Abort(code uint8) {
 	tx.abort(CauseExplicit, code)
 }
 
+// Slow reports whether the body runs on the slow path. Bodies are
+// path-agnostic; this is for the rare structure whose conflict barrier
+// differs by path.
+func (tx *Tx) Slow() bool { return tx.mode != modeFast }
+
 // Load transactionally reads a DRAM word.
 func (tx *Tx) Load(p *uint64) uint64 {
+	if tx.mode != modeFast {
+		return tx.sessionLoad(p, nil, 0)
+	}
 	if we := tx.lookupWrite(p); we != nil {
 		return we.val
 	}
@@ -321,6 +349,9 @@ func (tx *Tx) Load(p *uint64) uint64 {
 // LoadAddr transactionally reads a word of simulated NVM.
 func (tx *Tx) LoadAddr(h *nvm.Heap, a nvm.Addr) uint64 {
 	p := h.WordPtr(a)
+	if tx.mode != modeFast {
+		return tx.sessionLoad(p, h, a)
+	}
 	if we := tx.lookupWrite(p); we != nil {
 		return we.val
 	}
@@ -372,12 +403,20 @@ func (tx *Tx) loadCommon(p *uint64, h *nvm.Heap, a nvm.Addr) uint64 {
 // Store transactionally writes a DRAM word. The write is buffered and
 // becomes visible only if the transaction commits.
 func (tx *Tx) Store(p *uint64, v uint64) {
+	if tx.mode != modeFast {
+		tx.sessionStore(writeEntry{p: p, val: v})
+		return
+	}
 	tx.storeCommon(p, writeEntry{val: v})
 }
 
 // StoreAddr transactionally writes a word of simulated NVM. On commit the
 // write goes through the heap so that dirty-line tracking stays correct.
 func (tx *Tx) StoreAddr(h *nvm.Heap, a nvm.Addr, v uint64) {
+	if tx.mode != modeFast {
+		tx.sessionStore(writeEntry{p: h.WordPtr(a), val: v, heap: h, addr: a})
+		return
+	}
 	tx.storeCommon(h.WordPtr(a), writeEntry{val: v, heap: h, addr: a})
 }
 
@@ -406,16 +445,18 @@ func (tx *Tx) Flush() { tx.abort(CausePersistOp, 0) }
 // Fence models attempting sfence inside a transaction: it always aborts.
 func (tx *Tx) Fence() { tx.abort(CausePersistOp, 0) }
 
-// Subscribe reads the fallback lock transactionally and aborts with
-// CauseLocked if it is held. Committing transactions thereby conflict with
-// any fallback-path execution that overlaps them.
-func (tx *Tx) Subscribe(l *FallbackLock) {
-	if tx.Load(&l.word) != 0 {
+// subscribe reads the global fallback lock word transactionally and
+// aborts with CauseLocked if it is held. Under GlobalFallback every
+// fast-path attempt subscribes first, so it conflicts with any slow-path
+// run that overlaps it.
+func (tx *Tx) subscribe() {
+	if tx.Load(&tx.tm.gword) != 0 {
 		tx.abort(CauseLocked, 0)
 	}
 }
 
 func (tx *Tx) reset(id, rv uint64) {
+	tx.mode = modeFast
 	tx.id = id
 	tx.rv = rv
 	tx.reads.reset()
@@ -425,6 +466,9 @@ func (tx *Tx) reset(id, rv uint64) {
 	tx.lockOrder = tx.lockOrder[:0]
 	tx.lockPrev = tx.lockPrev[:0]
 	tx.res = Result{}
+	tx.owner = 0
+	tx.restarts = 0
+	tx.escalated = false
 }
 
 func (tx *Tx) commit() bool {
@@ -532,38 +576,20 @@ func (tx *Tx) releaseLocks(n int, wv uint64, committed bool) {
 	tx.lockPrev = tx.lockPrev[:0]
 }
 
-// AttemptOption modifies a single transaction attempt.
-type AttemptOption func(*attemptOpts)
-
-type attemptOpts struct {
-	preWalked bool
-}
-
-// PreWalked marks the attempt as preceded by a non-transactional pre-walk
-// of the data, the paper's mitigation for MEMTYPE aborts.
-func PreWalked() AttemptOption {
-	return func(o *attemptOpts) { o.preWalked = true }
-}
-
-// Attempt runs body as one transaction attempt and reports the outcome.
-// There is no automatic retry: callers implement their own retry and
-// fallback policy, exactly as with _xbegin/_xend. If body panics with
-// anything other than a transactional abort, the panic propagates after the
-// attempt's speculative state is discarded.
-func (tm *TM) Attempt(body func(tx *Tx), opts ...AttemptOption) Result {
-	return tm.AttemptSpan(nil, body, opts...)
-}
-
-// AttemptSpan is Attempt with a sampled request span: each attempt's
-// outcome (commit or per-cause abort, including injected aborts) is
-// additionally counted on sp. sp may be nil — unsampled requests pay
-// one pointer test.
-func (tm *TM) AttemptSpan(sp *obs.Span, body func(tx *Tx), opts ...AttemptOption) Result {
+// attemptSpan runs body as one fast-path attempt with no retry and
+// reports the outcome, exactly as _xbegin/_xend would; the outcome
+// (commit or per-cause abort, including injected aborts) is also counted
+// on the sampled request span sp. sp may be nil — unsampled requests pay
+// one pointer test. preWalked marks the attempt as preceded by a
+// non-transactional pre-walk (the paper's MEMTYPE mitigation). If body
+// panics with anything other than a transactional abort, the panic
+// propagates after the attempt's speculative state is discarded.
+func (tm *TM) attemptSpan(sp *obs.Span, body func(tx *Tx), preWalked bool) Result {
 	if tm.obs == nil && sp == nil {
-		return tm.attempt(body, opts...)
+		return tm.try(body, preWalked)
 	}
 	start := tm.obs.Now()
-	res := tm.attempt(body, opts...)
+	res := tm.try(body, preWalked)
 	// Cause doubles as the outcome index: CauseNone == OutCommit. The
 	// timestamp doubles as the shard hint, spreading concurrent attempts
 	// across histogram lanes without needing a thread ID.
@@ -572,11 +598,7 @@ func (tm *TM) AttemptSpan(sp *obs.Span, body func(tx *Tx), opts ...AttemptOption
 	return res
 }
 
-func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
-	var o attemptOpts
-	for _, f := range opts {
-		f(&o)
-	}
+func (tm *TM) try(body func(tx *Tx), preWalked bool) Result {
 	// Injected aborts: decided up front, charged before any work, like a
 	// transaction killed early by an interrupt.
 	if tm.chance(tm.cfg.SpuriousRate) {
@@ -584,7 +606,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 		return Result{Cause: CauseSpurious}
 	}
 	mtRate := tm.cfg.MemTypeRate
-	if o.preWalked {
+	if preWalked {
 		mtRate = tm.cfg.PreWalkResidualRate
 	}
 	if tm.chance(mtRate) {
@@ -611,6 +633,7 @@ func (tm *TM) attempt(body func(tx *Tx), opts ...AttemptOption) Result {
 
 // runBody executes the body, converting abort panics into results.
 // ok reports whether the body ran to completion (and may try to commit).
+// Under GlobalFallback a fast-path run subscribes to the lock word first.
 func (tm *TM) runBody(tx *Tx, body func(tx *Tx)) (res Result, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -621,57 +644,11 @@ func (tm *TM) runBody(tx *Tx, body func(tx *Tx)) (res Result, ok bool) {
 			panic(r)
 		}
 	}()
+	if tx.mode == modeFast && tm.cfg.GlobalFallback {
+		tx.subscribe()
+	}
 	body(tx)
 	return Result{}, true
-}
-
-// Run executes body with a simple default policy: retry on transient aborts
-// up to maxRetries, spinning politely while a subscribed lock is held, and
-// finally run fallback under the lock. It covers the common case; code that
-// needs Listing-1-style custom abort handling uses Attempt directly.
-// It returns true if the transactional path committed, false if the
-// fallback path ran.
-func (tm *TM) Run(lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func()) bool {
-	return tm.RunSpan(nil, lock, maxRetries, body, fallback)
-}
-
-// RunSpan is Run with a sampled request span threaded through to every
-// attempt; sp may be nil.
-func (tm *TM) RunSpan(sp *obs.Span, lock *FallbackLock, maxRetries int, body func(tx *Tx), fallback func()) bool {
-	retries := 0
-	preWalked := false
-	for retries < maxRetries {
-		res := tm.AttemptSpan(sp, func(tx *Tx) {
-			tx.Subscribe(lock)
-			body(tx)
-		}, func() []AttemptOption {
-			if preWalked {
-				return []AttemptOption{PreWalked()}
-			}
-			return nil
-		}()...)
-		if res.Committed {
-			return true
-		}
-		switch res.Cause {
-		case CauseLocked:
-			lock.WaitUnlocked()
-			// Waiting for the lock does not consume a retry budget.
-		case CauseMemType:
-			preWalked = true
-			retries++
-		case CauseCapacity, CauseExplicit:
-			// Deterministic aborts: go straight to the fallback.
-			retries = maxRetries
-		default:
-			retries++
-			tm.backoff(retries)
-		}
-	}
-	lock.Acquire()
-	defer lock.Release()
-	fallback()
-	return false
 }
 
 // backoff yields for a bounded, jittered, exponentially growing delay
@@ -679,7 +656,7 @@ func (tm *TM) RunSpan(sp *obs.Span, lock *FallbackLock, maxRetries int, body fun
 // contenders that keep colliding; jitter keeps two transactions with
 // identical retry counts from re-colliding in lockstep; the bound keeps
 // worst-case delay in the tens of microseconds so the fallback path is
-// still reached promptly when maxRetries is large.
+// still reached promptly when the retry budget is large.
 func (tm *TM) backoff(attempt int) {
 	shift := attempt
 	if shift > 6 {

@@ -10,10 +10,16 @@ import (
 	"bdhtm/internal/nvm"
 )
 
+// attempt runs body as one fast-path attempt with no retry, so tests can
+// observe single attempts' outcomes.
+func (tm *TM) attempt(body func(tx *Tx)) Result {
+	return tm.attemptSpan(nil, body, false)
+}
+
 func TestCommitMakesWritesVisible(t *testing.T) {
 	tm := Default()
 	var x, y uint64
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		tx.Store(&x, 1)
 		tx.Store(&y, 2)
 	})
@@ -28,7 +34,7 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 func TestAbortDiscardsWrites(t *testing.T) {
 	tm := Default()
 	var x uint64
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		tx.Store(&x, 99)
 		tx.Abort(7)
 	})
@@ -46,7 +52,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 func TestReadOwnWrites(t *testing.T) {
 	tm := Default()
 	var x uint64 = 10
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		tx.Store(&x, 20)
 		if got := tx.Load(&x); got != 20 {
 			t.Errorf("read-own-write = %d, want 20", got)
@@ -61,7 +67,7 @@ func TestWriteCapacityAbort(t *testing.T) {
 	tm := New(Config{MaxWriteLines: 4})
 	// Each word in its own line.
 	words := make([]uint64, 64*8)
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		for i := 0; i < 64; i++ {
 			tx.Store(&words[i*8], 1)
 		}
@@ -79,7 +85,7 @@ func TestWriteCapacityAbort(t *testing.T) {
 func TestReadCapacityAbort(t *testing.T) {
 	tm := New(Config{MaxReadLines: 4})
 	words := make([]uint64, 64*8)
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		for i := 0; i < 64; i++ {
 			tx.Load(&words[i*8])
 		}
@@ -92,11 +98,11 @@ func TestReadCapacityAbort(t *testing.T) {
 func TestPersistOpAborts(t *testing.T) {
 	tm := Default()
 	var flushed, fenced bool
-	res := tm.Attempt(func(tx *Tx) { tx.Flush(); flushed = true })
+	res := tm.attempt(func(tx *Tx) { tx.Flush(); flushed = true })
 	if res.Cause != CausePersistOp || flushed {
 		t.Fatalf("Flush inside txn: got %+v", res)
 	}
-	res = tm.Attempt(func(tx *Tx) { tx.Fence(); fenced = true })
+	res = tm.attempt(func(tx *Tx) { tx.Fence(); fenced = true })
 	if res.Cause != CausePersistOp || fenced {
 		t.Fatalf("Fence inside txn: got %+v", res)
 	}
@@ -104,7 +110,7 @@ func TestPersistOpAborts(t *testing.T) {
 
 func TestSpuriousInjection(t *testing.T) {
 	tm := New(Config{SpuriousRate: 1})
-	res := tm.Attempt(func(tx *Tx) {})
+	res := tm.attempt(func(tx *Tx) {})
 	if res.Cause != CauseSpurious {
 		t.Fatalf("got %+v, want spurious abort", res)
 	}
@@ -112,11 +118,29 @@ func TestSpuriousInjection(t *testing.T) {
 
 func TestMemTypeInjectionAndPreWalk(t *testing.T) {
 	tm := New(Config{MemTypeRate: 1, PreWalkResidualRate: 0})
-	if res := tm.Attempt(func(tx *Tx) {}); res.Cause != CauseMemType {
+	if res := tm.attempt(func(tx *Tx) {}); res.Cause != CauseMemType {
 		t.Fatalf("got %+v, want memtype abort", res)
 	}
-	if res := tm.Attempt(func(tx *Tx) {}, PreWalked()); !res.Committed {
+	if res := tm.attemptSpan(nil, func(tx *Tx) {}, true); !res.Committed {
 		t.Fatalf("pre-walked attempt should commit, got %+v", res)
+	}
+	// Through Atomic: one MEMTYPE abort runs the pre-walk hook once, and
+	// the pre-walked retry commits on the fast path.
+	walks := 0
+	before := tm.Stats()
+	res := tm.Atomic(nil, func(tx *Tx) {}, PreWalk(func() { walks++ }))
+	d := tm.Stats().Sub(before)
+	if !res.Committed || walks != 1 || d.MemType != 1 || d.Commits != 1 || d.FallbackAcquires != 0 {
+		t.Fatalf("Atomic with pre-walk: res=%+v walks=%d stats=%+v", res, walks, d)
+	}
+	// Without a hook the residual rate never applies: every attempt
+	// aborts MEMTYPE and the call ends on the slow path.
+	before = tm.Stats()
+	if res := tm.Atomic(nil, func(tx *Tx) {}); !res.Committed {
+		t.Fatalf("Atomic without pre-walk: %+v", res)
+	}
+	if d := tm.Stats().Sub(before); d.MemType != retryBudget || d.FallbackAcquires != 1 {
+		t.Fatalf("Atomic without pre-walk: stats=%+v", d)
 	}
 }
 
@@ -127,7 +151,7 @@ func TestUserPanicPropagates(t *testing.T) {
 			t.Fatal("expected user panic to propagate")
 		}
 	}()
-	tm.Attempt(func(tx *Tx) { panic("user bug") })
+	tm.attempt(func(tx *Tx) { panic("user bug") })
 }
 
 // Transfer invariant: concurrent transfers between accounts must conserve
@@ -156,7 +180,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 				}
 				amt := rng.Uint64N(10)
 				for {
-					res := tm.Attempt(func(tx *Tx) {
+					res := tm.attempt(func(tx *Tx) {
 						f := tx.Load(acct(from))
 						if f < amt {
 							tx.Abort(1)
@@ -200,7 +224,7 @@ func TestConflictingWritersSerialize(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				for {
-					res := tm.Attempt(func(tx *Tx) {
+					res := tm.attempt(func(tx *Tx) {
 						tx.Store(&counter, tx.Load(&counter)+1)
 					})
 					if res.Committed {
@@ -216,33 +240,27 @@ func TestConflictingWritersSerialize(t *testing.T) {
 	}
 }
 
+// Under GlobalFallback every fast-path attempt subscribes to the TM's
+// fallback lock word: while a slow-path run holds it, attempts abort
+// CauseLocked.
 func TestFallbackLockSubscription(t *testing.T) {
-	tm := Default()
-	lock := NewFallbackLock(tm)
-	lock.Acquire()
+	tm := New(Config{GlobalFallback: true})
+	tm.lockGlobal()
 	var x uint64
-	res := tm.Attempt(func(tx *Tx) {
-		tx.Subscribe(lock)
-		tx.Store(&x, 1)
-	})
+	res := tm.attempt(func(tx *Tx) { tx.Store(&x, 1) })
 	if res.Committed || res.Cause != CauseLocked {
-		t.Fatalf("subscribed txn under held lock: got %+v, want locked abort", res)
+		t.Fatalf("attempt under held lock: got %+v, want locked abort", res)
 	}
-	lock.Release()
-	res = tm.Attempt(func(tx *Tx) {
-		tx.Subscribe(lock)
-		tx.Store(&x, 1)
-	})
-	if !res.Committed {
+	tm.unlockGlobal()
+	if res := tm.attempt(func(tx *Tx) { tx.Store(&x, 1) }); !res.Committed {
 		t.Fatalf("after release: %+v", res)
 	}
 }
 
-// A transaction that subscribed must abort if the fallback path acquires
-// the lock and writes mid-transaction.
+// A fast-path attempt that began before a global slow-path run must
+// abort if that run writes what it read.
 func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
-	tm := Default()
-	lock := NewFallbackLock(tm)
+	tm := New(Config{GlobalFallback: true})
 	var data uint64
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -251,8 +269,7 @@ func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res = tm.Attempt(func(tx *Tx) {
-			tx.Subscribe(lock)
+		res = tm.attempt(func(tx *Tx) {
 			_ = tx.Load(&data)
 			close(started)
 			<-proceed
@@ -261,38 +278,87 @@ func TestFallbackWritesAbortActiveTransactions(t *testing.T) {
 		})
 	}()
 	<-started
-	lock.Acquire()
-	tm.DirectStore(&data, 5)
-	lock.Release()
+	tm.Atomic(nil, func(tx *Tx) { tx.Store(&data, 5) }, SlowPathOnly())
 	close(proceed)
 	wg.Wait()
 	if res.Committed {
-		t.Fatalf("transaction overlapping fallback writes committed; data=%d", data)
+		t.Fatalf("transaction overlapping a slow-path write committed; data=%d", data)
 	}
 	if data != 5 {
 		t.Fatalf("data = %d, want 5", data)
 	}
 }
 
+// Atomic falls back to the slow path once transient aborts have spent the
+// retry budget, and the body then commits there.
 func TestRunFallsBackAfterRetries(t *testing.T) {
+	forEachMode(t, func(t *testing.T, tm *TM) {
+		tm.cfg.SpuriousRate = 1
+		var x uint64
+		slow := false
+		res := tm.Atomic(nil, func(tx *Tx) { slow = tx.Slow(); tx.Store(&x, 1) })
+		if !res.Committed || !slow || x != 1 {
+			t.Fatalf("res=%+v slow=%v x=%d", res, slow, x)
+		}
+		if s := tm.Stats(); s.Spurious != retryBudget || s.FallbackAcquires != 1 {
+			t.Fatalf("stats = %+v, want %d spurious aborts then one slow-path run", s, retryBudget)
+		}
+	})
+}
+
+// Atomic's options are plain values: a committed call with a pre-walk
+// hook, and a slow-path-only call, allocate nothing per operation.
+func TestAtomicOptionsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not apply under -race")
+	}
 	tm := Default()
-	lock := NewFallbackLock(tm)
-	var viaTxn, viaFallback bool
-	ok := tm.Run(lock, 3, func(tx *Tx) { tx.Abort(1) }, func() { viaFallback = true })
-	if ok || viaTxn || !viaFallback {
-		t.Fatalf("Run should take fallback on explicit abort: ok=%v fb=%v", ok, viaFallback)
+	var x, walks uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		tm.Atomic(nil, func(tx *Tx) { tx.Store(&x, tx.Load(&x)+1) }, PreWalk(func() { walks++ }))
+	})
+	if allocs != 0 {
+		t.Fatalf("Atomic with a pre-walk hook: %.1f allocs per call, want 0", allocs)
 	}
-	var x uint64
-	ok = tm.Run(lock, 3, func(tx *Tx) { tx.Store(&x, 1) }, func() { x = 2 })
-	if !ok || x != 1 {
-		t.Fatalf("Run should commit transactionally: ok=%v x=%d", ok, x)
+	allocs = testing.AllocsPerRun(200, func() {
+		tm.Atomic(nil, func(tx *Tx) { tx.Store(&x, tx.Load(&x)+1) }, SlowPathOnly())
+	})
+	if allocs != 0 {
+		t.Fatalf("slow-path-only Atomic: %.1f allocs per call, want 0", allocs)
 	}
+}
+
+// Atomic commits on the fast path when it can, returns explicit aborts
+// to the caller, and takes the slow path on a capacity abort.
+func TestAtomicPaths(t *testing.T) {
+	forEachMode(t, func(t *testing.T, tm *TM) {
+		var x uint64
+		if res := tm.Atomic(nil, func(tx *Tx) { tx.Store(&x, 1) }); !res.Committed || x != 1 {
+			t.Fatalf("fast path: res=%+v x=%d", res, x)
+		}
+		if s := tm.Stats(); s.Commits != 1 || s.FallbackAcquires != 0 {
+			t.Fatalf("fast path took the slow path: %+v", s)
+		}
+		res := tm.Atomic(nil, func(tx *Tx) { tx.Store(&x, 2); tx.Abort(9) })
+		if res.Committed || res.Cause != CauseExplicit || res.Code != 9 || x != 1 {
+			t.Fatalf("explicit abort: res=%+v x=%d", res, x)
+		}
+		slow := false
+		res = tm.Atomic(nil, func(tx *Tx) {
+			slow = tx.Slow()
+			forceSlow(tx)
+			tx.Store(&x, 3)
+		})
+		if !res.Committed || !slow || x != 3 {
+			t.Fatalf("capacity escape: res=%+v slow=%v x=%d", res, slow, x)
+		}
+	})
 }
 
 func TestNVMWordTransactions(t *testing.T) {
 	tm := Default()
 	h := nvm.New(nvm.Config{Words: 1 << 12})
-	res := tm.Attempt(func(tx *Tx) {
+	res := tm.attempt(func(tx *Tx) {
 		tx.StoreAddr(h, 100, 42)
 		if got := tx.LoadAddr(h, 100); got != 42 {
 			t.Errorf("read-own-write via heap = %d", got)
@@ -318,7 +384,7 @@ func TestNVMWordTransactions(t *testing.T) {
 func TestAbortedNVMWritesNeverReachHeap(t *testing.T) {
 	tm := Default()
 	h := nvm.New(nvm.Config{Words: 1 << 12})
-	tm.Attempt(func(tx *Tx) {
+	tm.attempt(func(tx *Tx) {
 		tx.StoreAddr(h, 200, 7)
 		tx.Abort(1)
 	})
@@ -342,7 +408,7 @@ func TestLineGranularityConflicts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res = tm.Attempt(func(tx *Tx) {
+		res = tm.attempt(func(tx *Tx) {
 			_ = tx.Load(&words[0])
 			close(started)
 			<-proceed
@@ -361,8 +427,8 @@ func TestLineGranularityConflicts(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	tm := Default()
 	var x uint64
-	tm.Attempt(func(tx *Tx) { tx.Store(&x, 1) })
-	tm.Attempt(func(tx *Tx) { tx.Abort(3) })
+	tm.attempt(func(tx *Tx) { tx.Store(&x, 1) })
+	tm.attempt(func(tx *Tx) { tx.Abort(3) })
 	s := tm.Stats()
 	if s.Commits != 1 || s.Explicit != 1 || s.Attempts() != 2 {
 		t.Fatalf("stats = %+v", s)
@@ -403,7 +469,7 @@ func TestQuickSnapshotConsistency(t *testing.T) {
 			}
 			v++
 			for {
-				res := tm.Attempt(func(tx *Tx) {
+				res := tm.attempt(func(tx *Tx) {
 					for i := 0; i < 4; i++ {
 						tx.Store(w(i), v)
 					}
@@ -417,7 +483,7 @@ func TestQuickSnapshotConsistency(t *testing.T) {
 	f := func(_ uint8) bool {
 		var vals [4]uint64
 		for {
-			res := tm.Attempt(func(tx *Tx) {
+			res := tm.attempt(func(tx *Tx) {
 				for i := 0; i < 4; i++ {
 					vals[i] = tx.Load(w(i))
 				}

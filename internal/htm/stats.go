@@ -7,8 +7,8 @@ import "sync/atomic"
 type Stats struct {
 	counts [numCauses]atomic.Int64
 
-	fallbackAcquires atomic.Int64 // fine-grained fallback sessions started
-	fallbackLines    atomic.Int64 // lock-table slots acquired by sessions
+	fallbackAcquires atomic.Int64 // slow-path runs started, both modes
+	fallbackLines    atomic.Int64 // lines locked by slow-path runs
 	fallbackBlocked  atomic.Int64 // tx aborts caused by a fallback-held slot
 	fallbackRestarts atomic.Int64 // whole-session restarts (lock contention)
 }
@@ -27,12 +27,13 @@ type StatsSnapshot struct {
 	MemType   int64
 	PersistOp int64
 
-	// Hybrid slow-path counters. FallbackAcquires counts fine-grained
-	// sessions (the global path counts under the structures' own
-	// bookkeeping, not here); FallbackLines is the total lock-table slots
-	// those sessions acquired; FallbackBlocked counts fast-path aborts
-	// whose blocking slot was fallback-held; FallbackRestarts counts
-	// whole-session restarts forced by lock-order discipline.
+	// Slow-path counters. FallbackAcquires counts every slow-path run
+	// Atomic starts, in both fallback modes; FallbackLines is the total
+	// lines those runs locked (the lock-table slots of fine-grained
+	// sessions, and the lock word's one line per global run); FallbackBlocked
+	// counts fast-path aborts whose blocking slot was session-held;
+	// FallbackRestarts counts whole-session restarts forced by
+	// lock-order discipline.
 	FallbackAcquires int64
 	FallbackLines    int64
 	FallbackBlocked  int64

@@ -2,9 +2,9 @@
 // paper's Fig. 4 and its skiplist case study (Sec. 4.2):
 //
 //   - MwWR — unsynchronized, non-persistent multi-word writes (baseline);
-//   - HTMMwCAS — a multi-word compare-and-swap built from one hardware
-//     transaction (with global-lock fallback), the paper's replacement for
-//     descriptor-based protocols;
+//   - HTMMwCAS — a multi-word compare-and-swap built from one htm.TM.Atomic
+//     call (a hardware transaction with the TM's slow-path fallback), the
+//     paper's replacement for descriptor-based protocols;
 //   - Desc — the descriptor-based MwCAS of Wang et al. (ICDE'18), with
 //     helping; in persistent mode (PMwCAS) every step of the protocol is
 //     flushed so an operation interrupted by a crash can roll forward or
@@ -18,8 +18,8 @@ package mwcas
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
+	"sync"
 
 	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
@@ -43,14 +43,13 @@ func MwWR(h *nvm.Heap, entries []Entry) {
 // HTMMwCAS performs multi-word compare-and-swap inside one hardware
 // transaction.
 type HTMMwCAS struct {
-	h    *nvm.Heap
-	tm   *htm.TM
-	lock *htm.FallbackLock
+	h  *nvm.Heap
+	tm *htm.TM
 }
 
 // NewHTMMwCAS creates an HTM-based MwCAS over heap h.
 func NewHTMMwCAS(h *nvm.Heap, tm *htm.TM) *HTMMwCAS {
-	return &HTMMwCAS{h: h, tm: tm, lock: htm.NewFallbackLock(tm)}
+	return &HTMMwCAS{h: h, tm: tm}
 }
 
 const htmMwFailCode uint8 = 0xC5
@@ -58,51 +57,16 @@ const htmMwFailCode uint8 = 0xC5
 // Apply atomically replaces every entry's word if all of them still hold
 // their Old values; it reports whether the swap happened.
 func (m *HTMMwCAS) Apply(entries []Entry) bool {
-	const maxRetries = 64
-	retries := 0
-	for {
-		res := m.tm.Attempt(func(tx *htm.Tx) {
-			tx.Subscribe(m.lock)
-			for _, e := range entries {
-				if tx.LoadAddr(m.h, e.Addr) != e.Old {
-					tx.Abort(htmMwFailCode)
-				}
-			}
-			for _, e := range entries {
-				tx.StoreAddr(m.h, e.Addr, e.New)
-			}
-		})
-		switch {
-		case res.Committed:
-			return true
-		case res.Cause == htm.CauseExplicit && res.Code == htmMwFailCode:
-			return false
-		case res.Cause == htm.CauseLocked:
-			m.lock.WaitUnlocked()
-		default:
-			retries++
-			if retries >= maxRetries {
-				return m.applyFallback(entries)
-			}
-			if retries&7 == 7 {
-				runtime.Gosched()
+	return m.tm.Atomic(nil, func(tx *htm.Tx) {
+		for _, e := range entries {
+			if tx.LoadAddr(m.h, e.Addr) != e.Old {
+				tx.Abort(htmMwFailCode)
 			}
 		}
-	}
-}
-
-func (m *HTMMwCAS) applyFallback(entries []Entry) bool {
-	m.lock.Acquire()
-	defer m.lock.Release()
-	for _, e := range entries {
-		if m.h.Load(e.Addr) != e.Old {
-			return false
+		for _, e := range entries {
+			tx.StoreAddr(m.h, e.Addr, e.New)
 		}
-	}
-	for _, e := range entries {
-		m.tm.DirectStoreAddr(m.h, e.Addr, e.New)
-	}
-	return true
+	}).Committed
 }
 
 // Read returns the current value of a word, which for the HTM variant is
@@ -154,6 +118,10 @@ type Desc struct {
 	h       *nvm.Heap
 	persist bool
 	descs   []nvm.Addr // per-thread descriptor blocks
+
+	// stripes serialize each descriptor's installs against its status
+	// decision (see install), striped by descriptor address.
+	stripes [64]sync.Mutex
 }
 
 // NewDesc carves nThreads descriptor blocks out of the heap using the
@@ -230,33 +198,12 @@ func (d *Desc) Apply(tid int, entries []Entry) bool {
 	// Phase 1: install the descriptor into every target, in address
 	// order, helping any conflicting operation we encounter.
 	status := stSucceeded
-install:
-	for _, e := range es {
-		for {
-			if h.CompareAndSwap(e.Addr, e.Old, ptr) {
-				d.flush(e.Addr)
-				break
-			}
-			cur := h.Load(e.Addr)
-			switch {
-			case cur == ptr:
-				break // a helper installed for us
-			case isMarked(cur):
-				d.help(cur)
-				continue
-			case cur != e.Old:
-				status = stFailed
-				break install
-			default:
-				continue // transient CAS failure; retry
-			}
-			break
-		}
+	if !d.installAll(desc, seq, es, ptr) {
+		status = stFailed
 	}
 
 	// Phase 2: decide.
-	h.CompareAndSwap(desc+descStatusOff, seq<<8|stUndecided, seq<<8|status)
-	d.flush(desc + descStatusOff)
+	d.decide(desc, seq, status)
 	final := h.Load(desc+descStatusOff) & 0xff
 
 	// Phase 3: replace descriptor pointers with final values.
@@ -270,6 +217,72 @@ install:
 		}
 	}
 	return final == stSucceeded
+}
+
+// installAll runs phase 1 for operation seq of descriptor desc: it
+// installs ptr into every entry's word, in address order, helping any
+// conflicting operation it meets. It reports false when a word no longer
+// holds its Old value (the operation must fail), and stops early, with
+// true, once someone has decided the operation.
+func (d *Desc) installAll(desc nvm.Addr, seq uint64, es []Entry, ptr uint64) bool {
+	for _, e := range es {
+		for {
+			installed, decided := d.install(desc, seq, e, ptr)
+			if decided {
+				return true
+			}
+			if installed {
+				d.flush(e.Addr)
+				break
+			}
+			cur := d.h.Load(e.Addr)
+			if cur == ptr {
+				break // installed by another helper
+			}
+			if isMarked(cur) {
+				d.help(cur)
+				continue
+			}
+			if cur != e.Old {
+				return false
+			}
+			// transient CAS failure; retry
+		}
+	}
+	return true
+}
+
+// install swaps ptr into e's word over e.Old, but only while operation
+// seq of descriptor desc is undecided: the status check and the CAS run
+// under the descriptor's stripe lock, which every decision also takes.
+// This is the conditional install (RDCSS) of Wang et al. Without it, a
+// helper stalled between checking the status and its CAS could install
+// after the decision and cleanup, into a word whose value had come back
+// to Old (ABA); another helper would then "complete" the stale pointer
+// to New, corrupting the word, or no one would resolve it and every Read
+// of the word would spin.
+func (d *Desc) install(desc nvm.Addr, seq uint64, e Entry, ptr uint64) (installed, decided bool) {
+	mu := d.stripe(desc)
+	mu.Lock()
+	defer mu.Unlock()
+	if d.h.Load(desc+descStatusOff) != seq<<8|stUndecided {
+		return false, true
+	}
+	return d.h.CompareAndSwap(e.Addr, e.Old, ptr), false
+}
+
+// decide moves operation seq of descriptor desc from undecided to
+// status, unless someone decided it first, and persists the outcome.
+func (d *Desc) decide(desc nvm.Addr, seq, status uint64) {
+	mu := d.stripe(desc)
+	mu.Lock()
+	d.h.CompareAndSwap(desc+descStatusOff, seq<<8|stUndecided, seq<<8|status)
+	mu.Unlock()
+	d.flush(desc + descStatusOff)
+}
+
+func (d *Desc) stripe(desc nvm.Addr) *sync.Mutex {
+	return &d.stripes[(uint64(desc)*0x9e3779b97f4a7c15)>>58]
 }
 
 // help completes (or unwinds) the operation owning the marked pointer v.
@@ -298,42 +311,17 @@ func (d *Desc) help(v uint64) {
 	ptr := markedPtr(desc, seq)
 
 	// Only run phase 1 while the operation is still undecided. A decided
-	// descriptor's pointer can linger in a word (a stalled helper may
-	// reinstall it after the decision — the protocol's accepted ABA), and
+	// descriptor's pointer can linger in a word until its cleanup, and
 	// re-running installation for it would try to claim words now owned
 	// by live operations: two such descriptors each holding a word the
 	// other's entry list names would make help() recurse between them
 	// forever. A decided operation only needs its pointers removed.
 	if st := h.Load(desc + descStatusOff); st>>8 == fullSeq && st&0xff == stUndecided {
 		status := stSucceeded
-	install:
-		for _, e := range es {
-			for {
-				if h.Load(desc+descSeqOff) != fullSeq {
-					return // owner moved on; nothing left to help
-				}
-				if h.CompareAndSwap(e.Addr, e.Old, ptr) {
-					d.flush(e.Addr)
-					break
-				}
-				cur := h.Load(e.Addr)
-				switch {
-				case cur == ptr:
-					break
-				case isMarked(cur):
-					d.help(cur)
-					continue
-				case cur != e.Old:
-					status = stFailed
-					break install
-				default:
-					continue
-				}
-				break
-			}
+		if !d.installAll(desc, fullSeq, es, ptr) {
+			status = stFailed
 		}
-		h.CompareAndSwap(desc+descStatusOff, fullSeq<<8|stUndecided, fullSeq<<8|status)
-		d.flush(desc + descStatusOff)
+		d.decide(desc, fullSeq, status)
 	}
 	st := h.Load(desc + descStatusOff)
 	if st>>8 != fullSeq {

@@ -97,6 +97,46 @@ func TestDescDescriptorRecycling(t *testing.T) {
 	}
 }
 
+// TestNoInstallAfterDecision pins the conditional install. Once an
+// operation is decided — here it failed before its second word was
+// installed — no one may install its pointer any more: a helper stalled
+// past its status check used to install into a word whose value had come
+// back to Old (ABA), and other helpers then resolved the stale pointer to
+// New or spun on it forever in Read.
+func TestNoInstallAfterDecision(t *testing.T) {
+	a, d := descEngine(t, true, 1)
+	w1, w2 := a.alloc(8), a.alloc(8)
+	a.h.Store(w1, 1)
+	a.h.Store(w2, 2)
+	desc, seq := d.descs[0], uint64(2)
+	es := []Entry{{w1, 1, 10}, {w2, 2, 20}}
+	a.h.Store(desc+descCountOff, uint64(len(es)))
+	for i, e := range es {
+		base := desc + descEntryOff + nvm.Addr(i*3)
+		a.h.Store(base, uint64(e.Addr))
+		a.h.Store(base+1, e.Old)
+		a.h.Store(base+2, e.New)
+	}
+	a.h.Store(desc+descStatusOff, seq<<8|stFailed)
+	a.h.Store(desc+descSeqOff, seq)
+	ptr := markedPtr(desc, seq)
+
+	if installed, decided := d.install(desc, seq, es[1], ptr); installed || !decided {
+		t.Fatalf("install after the decision: installed=%v decided=%v", installed, decided)
+	}
+	if !d.installAll(desc, seq, es, ptr) {
+		t.Fatal("installAll on a decided operation reported a failed word")
+	}
+	if got1, got2 := a.h.Load(w1), a.h.Load(w2); got1 != 1 || got2 != 2 {
+		t.Fatalf("words = %#x, %#x after installs on a decided operation; want 1, 2", got1, got2)
+	}
+	// While the operation is undecided the same install goes through.
+	a.h.Store(desc+descStatusOff, seq<<8|stUndecided)
+	if installed, decided := d.install(desc, seq, es[0], ptr); !installed || decided {
+		t.Fatalf("install while undecided: installed=%v decided=%v", installed, decided)
+	}
+}
+
 func TestPMwCASPersistTraffic(t *testing.T) {
 	a, d := descEngine(t, true, 1)
 	w1, w2 := a.alloc(8), a.alloc(8)

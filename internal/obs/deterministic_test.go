@@ -95,21 +95,18 @@ func TestEADRNoFlushes(t *testing.T) {
 }
 
 // TestForcedMemTypeAbort reproduces the Fig. 2 anomaly deterministically:
-// with MemTypeRate 1 every plain attempt aborts MEMTYPE, and a pre-walked
-// retry commits. Exactly one abort and one commit land in obs, mirroring
-// the TM's own counters.
+// with MemTypeRate 1 every plain attempt aborts MEMTYPE, the pre-walk hook
+// runs once, and the pre-walked retry commits. Exactly one abort and one
+// commit land in obs, mirroring the TM's own counters.
 func TestForcedMemTypeAbort(t *testing.T) {
 	rec := obs.New("memtype")
 	tm := htm.New(htm.Config{MemTypeRate: 1})
 	tm.SetObs(rec)
 
-	res := tm.Attempt(func(tx *htm.Tx) {})
-	if res.Committed || res.Cause != htm.CauseMemType {
-		t.Fatalf("plain attempt = %+v, want MEMTYPE abort", res)
-	}
-	res = tm.Attempt(func(tx *htm.Tx) {}, htm.PreWalked())
-	if !res.Committed {
-		t.Fatalf("pre-walked retry = %+v, want commit", res)
+	walks := 0
+	res := tm.Atomic(nil, func(tx *htm.Tx) {}, htm.PreWalk(func() { walks++ }))
+	if !res.Committed || walks != 1 {
+		t.Fatalf("Atomic = %+v after %d pre-walks, want a commit after one", res, walks)
 	}
 
 	if got := rec.AttemptHist(obs.OutMemType).Count; got != 1 {

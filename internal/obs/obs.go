@@ -200,12 +200,12 @@ const (
 	MResurrectedBlocks // deleted-but-unpersisted blocks rolled back to live
 
 	// Hybrid-fallback counters (appended; enum order is part of the trace
-	// format). The HTM unit bumps these on the fine-grained slow path, so
-	// fallback pressure (how many slow-path sessions ran, how many lines
-	// they locked, how many fast-path aborts they caused) is visible from
-	// telemetry alone.
-	MFallbackAcquires // fine-grained fallback sessions started
-	MFallbackLines    // versioned-lock slots acquired by fallback sessions
+	// format). The HTM unit bumps these on the slow path, so fallback
+	// pressure (how many slow-path runs started, how many lines
+	// fine-grained sessions locked, how many fast-path aborts they caused)
+	// is visible from telemetry alone.
+	MFallbackAcquires // slow-path runs started (both fallback modes)
+	MFallbackLines    // lines locked by slow-path runs (lock word in global mode)
 	MFallbackBlocked  // transaction aborts caused by a fallback-held line
 
 	NumMetrics

@@ -9,8 +9,10 @@ import (
 
 // BDL operations follow the Listing-1 discipline: each operation runs in
 // one epoch, KV blocks are preallocated outside the transaction, stamped
-// with the operation's epoch inside it, and persisted / retired after it
-// commits. Towers live in the DRAM index heap and are rebuilt on recovery.
+// with the operation's epoch inside it by the branch that links them
+// (see bdhash.Insert for why never earlier), and persisted / retired
+// after it commits. Towers live in the DRAM index heap and are rebuilt
+// on recovery.
 
 // insertBDL adds or updates k with buffered durability.
 func (h *Handle) insertBDL(g *guard, k, v uint64) bool {
@@ -31,55 +33,31 @@ retryRegist:
 			// transaction (Listing 1 lines 20-29).
 			var retire, persist epoch.Block
 			var usedPrealloc bool
-			res := l.htmApply(h.w, g, nil,
-				func(tx *htm.Tx) {
-					// A failed attempt may have run this closure to
-					// completion (conflicts surface at commit); reset the
-					// captured outputs so a retry that takes a different
-					// branch cannot inherit a stale retire/persist pair.
-					retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
-					if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-						tx.Abort(retryCode) // node was removed; re-find
-					}
+			res := l.htmApply(h.w, g, nil, func(tx *htm.Tx) {
+				// The body may run many times, on either path: reset the
+				// captured outputs so a retry that takes a different
+				// branch cannot inherit a stale retire/persist pair.
+				retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
+				if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
+					tx.Abort(retryCode) // node was removed; re-find
+				}
+				ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
+				if g.teleporting() && !l.blockOK(ba) {
+					tx.Abort(recaptureCode) // recycled tower
+				}
+				blk := l.cfg.DataSys.BlockAt(ba)
+				be := blk.EpochTx(tx)
+				switch {
+				case be > opEpoch:
+					tx.Abort(epoch.OldSeeNewCode)
+				case be < opEpoch:
 					newBlk.SetEpochTx(tx, opEpoch)
-					ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
-					if g.teleporting() && !l.blockOK(ba) {
-						tx.Abort(recaptureCode) // recycled tower
-					}
-					blk := l.cfg.DataSys.BlockAt(ba)
-					be := blk.EpochTx(tx)
-					switch {
-					case be > opEpoch:
-						tx.Abort(epoch.OldSeeNewCode)
-					case be < opEpoch:
-						tx.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
-						retire, persist, usedPrealloc = blk, newBlk, true
-					default:
-						blk.SetValueTx(tx, v)
-					}
-				},
-				func(f *htm.Fallback) applyResult {
-					// The session body may restart on lock contention:
-					// outputs are reset here, writes are buffered.
-					retire, persist, usedPrealloc = epoch.Block{}, epoch.Block{}, false
-					if f.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-						return applyRetry
-					}
-					blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-					be := blk.EpochF(f)
-					switch {
-					case be > opEpoch:
-						return applyOldSeeNew
-					case be < opEpoch:
-						newBlk.SetEpochF(f, opEpoch)
-						f.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
-						retire, persist, usedPrealloc = blk, newBlk, true
-					default:
-						blk.SetValueF(f, v)
-					}
-					return applyOK
-				},
-			)
+					tx.StoreAddr(l.h, l.valueAddr(found), uint64(newBlk.Addr()))
+					retire, persist, usedPrealloc = blk, newBlk, true
+				default:
+					blk.SetValueTx(tx, v)
+				}
+			})
 			switch res {
 			case applyOldSeeNew:
 				h.w.AbortOp()
@@ -87,7 +65,7 @@ retryRegist:
 			case applyRetry:
 				continue
 			}
-			h.finishOp(newBlk, usedPrealloc, retire, persist)
+			h.finishOp(usedPrealloc, retire, persist)
 			return true
 		}
 
@@ -99,24 +77,15 @@ retryRegist:
 		for i := 0; i < lvl; i++ {
 			entries[i] = mwcas.Entry{Addr: l.nextAddr(preds[i], i), Old: succs[i], New: uint64(node)}
 		}
-		res := l.htmApply(h.w, g, entries,
-			func(tx *htm.Tx) {
-				// The absence this insert acts on may have been created by a
-				// removal from a newer epoch (no block left to epoch-check).
-				l.removals.CheckTx(tx, k, opEpoch)
-				newBlk.SetEpochTx(tx, opEpoch)
-			},
-			func(f *htm.Fallback) applyResult {
-				if !l.removals.OkF(f, k, opEpoch) {
-					return applyOldSeeNew
-				}
-				newBlk.SetEpochF(f, opEpoch)
-				return applyOK
-			},
-		)
+		res := l.htmApply(h.w, g, entries, func(tx *htm.Tx) {
+			// The absence this insert acts on may have been created by a
+			// removal from a newer epoch (no block left to epoch-check).
+			l.removals.CheckTx(tx, k, opEpoch)
+			newBlk.SetEpochTx(tx, opEpoch)
+		})
 		if res == applyOK {
 			l.count.Add(1)
-			h.finishOp(newBlk, true, epoch.Block{}, newBlk)
+			h.finishOp(true, epoch.Block{}, newBlk)
 			return false
 		}
 		l.al.Free(node) // never became visible
@@ -167,29 +136,18 @@ retryRegist:
 			continue
 		}
 		var retire epoch.Block
-		res := l.htmApply(h.w, g, entries,
-			func(tx *htm.Tx) {
-				ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
-				if g.teleporting() && !l.blockOK(ba) {
-					tx.Abort(recaptureCode) // recycled tower
-				}
-				blk := l.cfg.DataSys.BlockAt(ba)
-				if blk.EpochTx(tx) > opEpoch {
-					tx.Abort(epoch.OldSeeNewCode)
-				}
-				l.removals.RaiseTx(tx, k, opEpoch)
-				retire = blk
-			},
-			func(f *htm.Fallback) applyResult {
-				blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-				if blk.EpochF(f) > opEpoch {
-					return applyOldSeeNew
-				}
-				l.removals.RaiseF(f, k, opEpoch)
-				retire = blk
-				return applyOK
-			},
-		)
+		res := l.htmApply(h.w, g, entries, func(tx *htm.Tx) {
+			ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
+			if g.teleporting() && !l.blockOK(ba) {
+				tx.Abort(recaptureCode) // recycled tower
+			}
+			blk := l.cfg.DataSys.BlockAt(ba)
+			if blk.EpochTx(tx) > opEpoch {
+				tx.Abort(epoch.OldSeeNewCode)
+			}
+			l.removals.RaiseTx(tx, k, opEpoch)
+			retire = blk
+		})
 		switch res {
 		case applyOldSeeNew:
 			h.w.AbortOp()
@@ -206,13 +164,8 @@ retryRegist:
 }
 
 // finishOp applies the post-commit half of the Listing-1 pattern.
-func (h *Handle) finishOp(newBlk epoch.Block, usedPrealloc bool, retire, persist epoch.Block) {
-	if !usedPrealloc {
-		// The committed transaction stamped the prealloc's epoch but did
-		// not link it; re-invalidate so a crash cannot resurrect it as a
-		// phantom (the Sec. 5 pitfall).
-		newBlk.ResetEpoch()
-	} else {
+func (h *Handle) finishOp(usedPrealloc bool, retire, persist epoch.Block) {
+	if usedPrealloc {
 		h.prealloc = epoch.Block{}
 	}
 	if !retire.IsNil() {

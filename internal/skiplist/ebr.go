@@ -159,9 +159,15 @@ func (g *guard) capture() {
 // or completed since the operation started, unannounced reads may have
 // observed freed memory — abort and recapture. Reading seq also puts it
 // in the transaction's read set, so a scan that starts after this check
-// still fails the commit-time validation.
+// still fails the commit-time validation. The slow path does not
+// validate reads against the seqlock, so a teleporting operation that
+// reaches it recaptures first: a full hazard announcement, then a
+// re-find before trusting any pointer it gathered unannounced.
 func (g *guard) validate(tx *htm.Tx) {
-	if g.tele && tx.Load(&g.l.reap.seq) != g.seq {
+	if !g.tele {
+		return
+	}
+	if tx.Slow() || tx.Load(&g.l.reap.seq) != g.seq {
 		tx.Abort(recaptureCode)
 	}
 }

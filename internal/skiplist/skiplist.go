@@ -116,17 +116,14 @@ type List struct {
 	cfg   Config
 	h     *nvm.Heap // index heap
 	al    *palloc.Allocator
-	desc  *mwcas.Desc       // descriptor engine (DL, PNoFlush, Transient)
-	lock  *htm.FallbackLock // HTM variants
+	desc  *mwcas.Desc // descriptor engine (DL, PNoFlush, Transient)
 	head  nvm.Addr
 	reap  *ebr
 	count atomic.Int64
 	tids  atomic.Int32
 
-	// hybrid: the TM uses the fine-grained slow path, so transactions do
-	// not subscribe to the global lock. teleport additionally elides the
-	// EBR announcement stores on HTM variants (see ebr / guard).
-	hybrid   bool
+	// teleport elides the EBR announcement stores on HTM variants (see
+	// ebr / guard).
 	teleport bool
 
 	// removals guards BDL absence-dependent paths against acting on an
@@ -156,17 +153,15 @@ func New(cfg Config) *List {
 		if cfg.TM == nil {
 			panic("skiplist: HTM variant requires a TM")
 		}
-		l.lock = htm.NewFallbackLock(cfg.TM)
-		l.hybrid = cfg.TM.Hybrid()
+		// Teleportation rides on transactional validation of the
+		// era-seqlock, so it is only sound for the HTM variants.
+		l.teleport = true
 	}
 	if cfg.Variant == BDL && cfg.DataSys == nil {
 		panic("skiplist: BDL requires an epoch system")
 	}
 	l.reap = newEBR(l.al, cfg.Threads)
-	if l.hybrid {
-		// Teleportation rides on transactional validation of the
-		// era-seqlock, so it is only sound for the HTM variants.
-		l.teleport = true
+	if l.teleport {
 		l.reap.tm = cfg.TM
 		l.reap.tele = true
 	}
@@ -202,8 +197,8 @@ func (l *List) allocTagged(tag uint8, key, value uint64, level int, nexts []uint
 	return b
 }
 
-func (l *List) key(n nvm.Addr) uint64   { return l.h.Load(palloc.Payload(n) + offKey) }
-func (l *List) level(n nvm.Addr) int    { return int(l.h.Load(palloc.Payload(n) + offLevel)) }
+func (l *List) key(n nvm.Addr) uint64 { return l.h.Load(palloc.Payload(n) + offKey) }
+func (l *List) level(n nvm.Addr) int  { return int(l.h.Load(palloc.Payload(n) + offLevel)) }
 func (l *List) valueAddr(n nvm.Addr) nvm.Addr {
 	return palloc.Payload(n) + offValue
 }
@@ -396,65 +391,30 @@ func (h *Handle) Get(k uint64) (uint64, bool) {
 // retires the block) cannot expose a reclaimed block's contents.
 func (h *Handle) getBDL(g *guard, k uint64) (uint64, bool) {
 	l := h.l
-	const maxRetries = 64
-	retries := 0
 	for {
-		if l.hybrid && retries >= maxRetries {
-			// Persistently aborting read: escape into a read-only session
-			// under per-line locks. Announce first — session reads are not
-			// seqlock-validated.
-			g.capture()
-			_, _, found := l.find(g, k)
-			if found == 0 {
-				return 0, false
-			}
-			var v uint64
-			var ok bool
-			l.cfg.TM.RunFallback(l.lock, func(f *htm.Fallback) {
-				v, ok = 0, false
-				if f.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-					return
-				}
-				blk := l.cfg.DataSys.BlockAt(nvm.Addr(f.LoadAddr(l.h, l.valueAddr(found))))
-				v = blk.ValueF(f)
-				ok = true
-			})
-			return v, ok
-		}
 		_, _, found := l.find(g, k)
 		if found == 0 {
 			return 0, false
 		}
 		var v uint64
 		var ok bool
-		res := h.w.Attempt(l.cfg.TM, func(tx *htm.Tx) {
-			if !l.hybrid {
-				tx.Subscribe(l.lock)
-			}
+		res := h.w.Atomic(l.cfg.TM, func(tx *htm.Tx) {
+			v, ok = 0, false
 			g.validate(tx)
 			if tx.LoadAddr(l.h, l.nextAddr(found, 0))&delMark != 0 {
-				ok = false
 				return
 			}
 			ba := nvm.Addr(tx.LoadAddr(l.h, l.valueAddr(found)))
 			if g.teleporting() && !l.blockOK(ba) {
 				tx.Abort(recaptureCode) // recycled tower: value word is garbage
 			}
-			blk := l.cfg.DataSys.BlockAt(ba)
-			v = blk.ValueTx(tx)
+			v = l.cfg.DataSys.BlockAt(ba).ValueTx(tx)
 			ok = true
 		})
 		if res.Committed {
 			return v, ok
 		}
-		switch {
-		case res.Cause == htm.CauseExplicit && res.Code == recaptureCode:
-			g.capture()
-		case res.Cause == htm.CauseLocked:
-			l.lock.WaitUnlocked()
-		default:
-			retries++
-		}
+		g.capture() // recaptureCode: announce, then re-find
 	}
 }
 
@@ -553,7 +513,7 @@ func (h *Handle) apply(g *guard, entries []mwcas.Entry) bool {
 	if h.l.desc != nil {
 		return h.l.desc.Apply(h.tid, entries)
 	}
-	return h.l.htmApply(h.w, g, entries, nil, nil) == applyOK
+	return h.l.htmApply(h.w, g, entries, nil) == applyOK
 }
 
 // applyResult is the outcome of one transactional multi-word update.
@@ -570,92 +530,34 @@ const (
 )
 
 // htmApply runs the entries — validate all Olds, run the optional extra
-// transactional step, store all News — as one hardware transaction with a
-// slow-path fallback (per-line locks in hybrid mode, the global lock
-// otherwise). extra may call tx.Abort(retryCode) or
-// tx.Abort(epoch.OldSeeNewCode). direct is the fallback-path version of
-// extra: it performs any non-entry reads/writes through the session and
-// returns the outcome; entries are validated before and stored after it
-// only when it returns applyOK.
-func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx), direct func(f *htm.Fallback) applyResult) applyResult {
-	const maxRetries = 64
-	retries := 0
-	for {
-		res := l.attemptW(w, func(tx *htm.Tx) {
-			if !l.hybrid {
-				tx.Subscribe(l.lock)
-			}
-			g.validate(tx)
-			for _, e := range entries {
-				if tx.LoadAddr(l.h, e.Addr) != e.Old {
-					tx.Abort(retryCode)
-				}
-			}
-			if extra != nil {
-				extra(tx)
-			}
-			for _, e := range entries {
-				tx.StoreAddr(l.h, e.Addr, e.New)
-			}
-		})
-		switch {
-		case res.Committed:
-			return applyOK
-		case res.Cause == htm.CauseExplicit && res.Code == retryCode:
-			return applyRetry
-		case res.Cause == htm.CauseExplicit && res.Code == recaptureCode:
-			g.capture()
-			return applyRetry
-		case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
-			return applyOldSeeNew
-		case res.Cause == htm.CauseExplicit:
-			panic(fmt.Sprintf("skiplist: unexpected abort code %#x", res.Code))
-		case res.Cause == htm.CauseLocked:
-			l.lock.WaitUnlocked()
-		default:
-			retries++
-			if retries >= maxRetries {
-				return l.htmFallback(g, entries, direct)
-			}
-		}
-	}
-}
-
-// attemptW routes one HTM attempt through the handle's epoch worker when
-// one exists (BDL), so the attempt lands in the worker's request span;
-// transient variants pass w == nil and hit the TM directly.
-func (l *List) attemptW(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
-	if w != nil {
-		return w.Attempt(l.cfg.TM, body)
-	}
-	return l.cfg.TM.Attempt(body)
-}
-
-func (l *List) htmFallback(g *guard, entries []mwcas.Entry, direct func(f *htm.Fallback) applyResult) applyResult {
-	if g.teleporting() {
-		// The lock path takes full hazard capture: session reads are not
-		// seqlock-validated, and the entries were gathered unannounced, so
-		// announce and re-find before trusting any of them.
-		g.capture()
-		return applyRetry
-	}
-	r := applyOK
-	l.cfg.TM.RunFallback(l.lock, func(f *htm.Fallback) {
-		r = applyOK
+// step, store all News — as one htm.TM.Atomic call. extra may call
+// tx.Abort(retryCode) or tx.Abort(epoch.OldSeeNewCode); like the rest of
+// the body it runs on either path and must reset any outputs it sets.
+func (l *List) htmApply(w *epoch.Worker, g *guard, entries []mwcas.Entry, extra func(tx *htm.Tx)) applyResult {
+	res := w.Atomic(l.cfg.TM, func(tx *htm.Tx) {
+		g.validate(tx)
 		for _, e := range entries {
-			if f.LoadAddr(l.h, e.Addr) != e.Old {
-				r = applyRetry
-				return
+			if tx.LoadAddr(l.h, e.Addr) != e.Old {
+				tx.Abort(retryCode)
 			}
 		}
-		if direct != nil {
-			if r = direct(f); r != applyOK {
-				return
-			}
+		if extra != nil {
+			extra(tx)
 		}
 		for _, e := range entries {
-			f.StoreAddr(l.h, e.Addr, e.New)
+			tx.StoreAddr(l.h, e.Addr, e.New)
 		}
 	})
-	return r
+	switch {
+	case res.Committed:
+		return applyOK
+	case res.Code == retryCode:
+		return applyRetry
+	case res.Code == recaptureCode:
+		g.capture()
+		return applyRetry
+	case res.Code == epoch.OldSeeNewCode:
+		return applyOldSeeNew
+	}
+	panic(fmt.Sprintf("skiplist: unexpected HTM result %+v", res))
 }

@@ -45,36 +45,19 @@ retryRegist:
 	t.initBlock(newBlk, k, v)
 
 	var out outcome
-	retries := 0
 retryTxn:
-	out = outcome{}
-	res := t.attempt(w, func(tx *htm.Tx) {
-		t.subscribe(tx)
-		t.stampTx(tx, newBlk, opEpoch)
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		out = outcome{}
+		t.barrier(tx)
 		t.insertBody(tx, opEpoch, h, k, v, newBlk, bd, &out)
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	switch res.Code {
+	case epoch.OldSeeNewCode:
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseExplicit && res.Code == splitCode:
+	case splitCode:
 		t.split(h)
 		goto retryTxn
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		switch t.insertFallback(opEpoch, h, k, v, newBlk, bd, &out) {
-		case fbOldSeeNew:
-			w.AbortOp()
-			goto retryRegist
-		case fbOK:
-		}
 	}
 	t.finishInsert(w, newBlk, bd, &out)
 	return out.replaced
@@ -85,8 +68,6 @@ func (t *Table) finishInsert(w *epoch.Worker, newBlk nvm.Addr, bd bool, out *out
 		ws := &t.perW[w.ID()]
 		if out.usedNew {
 			ws.prealloc = 0
-		} else {
-			t.resetEpochDirect(newBlk) // the Sec. 5 phantom pitfall
 		}
 		if !out.retire.IsNil() {
 			w.PRetire(t.sys.BlockAt(out.retire))
@@ -109,7 +90,8 @@ func (t *Table) finishInsert(w *epoch.Worker, newBlk nvm.Addr, bd bool, out *out
 	}
 }
 
-// insertBody is the transactional probe-and-link.
+// insertBody is the probe-and-link body of Insert. It stamps the new
+// block only on the branches that link it (see bdhash.Insert for why).
 func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr, bd bool, out *outcome) {
 	seg, bucket := t.locate(h)
 	base := bucket * slotsPerBucket
@@ -136,6 +118,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 			case be > opEpoch:
 				tx.Abort(epoch.OldSeeNewCode)
 			case be < opEpoch:
+				t.stampTx(tx, newBlk, opEpoch)
 				tx.Store(sp, pack(h, newBlk))
 				out.retire, out.track, out.usedNew = b, newBlk, true
 				out.touched = newBlk
@@ -158,6 +141,7 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 		// must be validated against newer removals.
 		t.removals.CheckTx(tx, k, opEpoch)
 	}
+	t.stampTx(tx, newBlk, opEpoch)
 	tx.Store(empty, pack(h, newBlk))
 	out.usedNew = true
 	out.touched = newBlk
@@ -166,161 +150,32 @@ func (t *Table) insertBody(tx *htm.Tx, opEpoch, h, k, v uint64, newBlk nvm.Addr,
 	}
 }
 
-type fbResult int
-
-const (
-	fbOK fbResult = iota
-	fbOldSeeNew
-)
-
-// insertFallback performs the insert on the slow path (a fine-grained
-// session in hybrid mode, the global lock otherwise), splitting between
-// rounds if the bucket is full.
-func (t *Table) insertFallback(opEpoch, h, k, v uint64, newBlk nvm.Addr, bd bool, out *outcome) fbResult {
-	for {
-		r := fbOK
-		needSplit := false
-		t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-			// The session body may restart on lock contention: reset every
-			// output first. The gate serializes hybrid fallbacks against
-			// each other and against splits.
-			r, needSplit = fbOK, false
-			*out = outcome{}
-			if f.Hybrid() {
-				f.Load(&t.fbGate)
-			}
-			seg, bucket := t.locate(h)
-			base := bucket * slotsPerBucket
-			var empty *uint64
-			foundSlot := -1
-			var b nvm.Addr
-			for s := 0; s < slotsPerBucket; s++ {
-				sv := f.Load(&seg.slots[base+s])
-				if sv == 0 {
-					if empty == nil {
-						empty = &seg.slots[base+s]
-					}
-					continue
-				}
-				if sv>>56 != h>>56 {
-					continue
-				}
-				cand := unpackAddr(sv)
-				if f.LoadAddr(t.heap, blockKeyAddr(cand)) == k {
-					foundSlot, b = base+s, cand
-					break
-				}
-			}
-			if foundSlot >= 0 {
-				if bd {
-					be := t.epochF(f, b)
-					switch {
-					case be > opEpoch:
-						r = fbOldSeeNew
-						return
-					case be < opEpoch:
-						t.stampF(f, newBlk, opEpoch)
-						f.Store(&seg.slots[foundSlot], pack(h, newBlk))
-						out.retire, out.track, out.usedNew = b, newBlk, true
-						out.touched = newBlk
-					default:
-						f.StoreAddr(t.heap, blockValueAddr(b), v)
-						out.touched = b
-					}
-				} else {
-					f.StoreAddr(t.heap, blockValueAddr(b), v)
-					out.touched = b
-				}
-				out.replaced = true
-				return
-			}
-			if empty == nil {
-				needSplit = true
-				return
-			}
-			if bd && !t.removals.OkF(f, k, opEpoch) {
-				r = fbOldSeeNew // absence created by a newer-epoch removal
-				return
-			}
-			t.stampF(f, newBlk, opEpoch)
-			f.Store(empty, pack(h, newBlk))
-			out.usedNew = true
-			out.touched = newBlk
-			if bd {
-				out.track = newBlk
-			}
-		})
-		if needSplit {
-			t.split(h)
-			continue
-		}
-		return r
-	}
-}
-
-// attempt wraps TM.Attempt, flagging the worker in-txn for ModeBD.
-func (t *Table) attempt(w *epoch.Worker, body func(tx *htm.Tx)) htm.Result {
-	if w != nil {
-		return w.Attempt(t.tm, body)
-	}
-	return t.tm.Attempt(body)
-}
-
 // Get returns the value stored under k.
 func (t *Table) Get(k uint64) (uint64, bool) {
 	if t.obs != nil {
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
 	h := hash64(k)
-	retries := 0
-	for {
-		var v uint64
-		var ok bool
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			t.subscribe(tx)
-			v, ok = 0, false
-			seg, bucket := t.locate(h)
-			base := bucket * slotsPerBucket
-			for s := 0; s < slotsPerBucket; s++ {
-				sv := tx.Load(&seg.slots[base+s])
-				if sv == 0 || sv>>56 != h>>56 {
-					continue
-				}
-				b := unpackAddr(sv)
-				if tx.LoadAddr(t.heap, blockKeyAddr(b)) == k {
-					v, ok = tx.LoadAddr(t.heap, blockValueAddr(b)), true
-					return
-				}
+	var v uint64
+	var ok bool
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		v, ok = 0, false
+		t.barrier(tx)
+		seg, bucket := t.locate(h)
+		base := bucket * slotsPerBucket
+		for s := 0; s < slotsPerBucket; s++ {
+			sv := tx.Load(&seg.slots[base+s])
+			if sv == 0 || sv>>56 != h>>56 {
+				continue
 			}
-		})
-		if res.Committed {
-			return v, ok
+			b := unpackAddr(sv)
+			if tx.LoadAddr(t.heap, blockKeyAddr(b)) == k {
+				v, ok = tx.LoadAddr(t.heap, blockValueAddr(b)), true
+				return
+			}
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-		} else if retries++; t.hybrid && retries >= maxRetries {
-			// Persistently aborting read: a read-only session under the
-			// per-line locks is guaranteed to finish.
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-				v, ok = 0, false
-				f.Load(&t.fbGate)
-				seg, bucket := t.locate(h)
-				base := bucket * slotsPerBucket
-				for s := 0; s < slotsPerBucket; s++ {
-					sv := f.Load(&seg.slots[base+s])
-					if sv == 0 || sv>>56 != h>>56 {
-						continue
-					}
-					b := unpackAddr(sv)
-					if f.LoadAddr(t.heap, blockKeyAddr(b)) == k {
-						v, ok = f.LoadAddr(t.heap, blockValueAddr(b)), true
-						return
-					}
-				}
-			})
-			return v, ok
-		}
-	}
+	})
+	return v, ok
 }
 
 // Remove deletes k, reporting whether it was present.
@@ -336,11 +191,9 @@ retryRegist:
 		opEpoch = w.BeginOp()
 	}
 	var victim nvm.Addr
-	retries := 0
-retryTxn:
-	victim = 0
-	res := t.attempt(w, func(tx *htm.Tx) {
-		t.subscribe(tx)
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		victim = 0
+		t.barrier(tx)
 		seg, bucket := t.locate(h)
 		base := bucket * slotsPerBucket
 		for s := 0; s < slotsPerBucket; s++ {
@@ -368,25 +221,9 @@ retryTxn:
 			t.removals.CheckTx(tx, k, opEpoch)
 		}
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	if res.Code == epoch.OldSeeNewCode {
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		switch t.removeFallback(opEpoch, h, k, bd, &victim) {
-		case fbOldSeeNew:
-			w.AbortOp()
-			goto retryRegist
-		case fbOK:
-		}
 	}
 	removed := !victim.IsNil()
 	if removed {
@@ -403,67 +240,27 @@ retryTxn:
 	return removed
 }
 
-func (t *Table) removeFallback(opEpoch, h, k uint64, bd bool, victim *nvm.Addr) fbResult {
-	r := fbOK
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		r = fbOK
-		*victim = 0
-		if f.Hybrid() {
-			f.Load(&t.fbGate)
-		}
-		seg, bucket := t.locate(h)
-		base := bucket * slotsPerBucket
-		for s := 0; s < slotsPerBucket; s++ {
-			sp := &seg.slots[base+s]
-			sv := f.Load(sp)
-			if sv == 0 || sv>>56 != h>>56 {
-				continue
-			}
-			b := unpackAddr(sv)
-			if f.LoadAddr(t.heap, blockKeyAddr(b)) != k {
-				continue
-			}
-			if bd && t.epochF(f, b) > opEpoch {
-				r = fbOldSeeNew
-				return
-			}
-			if bd {
-				t.removals.RaiseF(f, k, opEpoch)
-			}
-			f.Store(sp, 0)
-			*victim = b
-			return
-		}
-		if bd && !t.removals.OkF(f, k, opEpoch) {
-			r = fbOldSeeNew // absence created by a newer-epoch removal
-		}
-	})
-	return r
-}
-
 // split splits the segment containing hash h (doubling the directory if
-// needed) on the slow path. In hybrid mode the session takes the fallback
-// gate, then locks the split barrier and drains in-flight commit windows:
-// from that point no transaction can commit (ver is in every hybrid
-// transaction's read set and its slot stays locked), so the native
-// dir/segs manipulation is safe. The barrier word is the session's only
-// write, and no lock is acquired after the manipulation, so a session
-// restart can only happen before any state changed.
+// needed) on the slow path, without trying the fast path. The run takes
+// the fallback gate, then locks the split barrier and drains in-flight
+// commit windows: from that point no transaction can commit (ver is in
+// every fast-path run's read set and its line stays locked), so the
+// native dir/segs manipulation is safe. The barrier word is the run's
+// only write, and no line is locked after the manipulation, so a session
+// restart can only happen before any state changed. Under GlobalFallback
+// the TM's lock already excludes every transaction and the barrier
+// accesses are plain.
 func (t *Table) split(h uint64) {
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		if f.Hybrid() {
-			f.Load(&t.fbGate)
-			cur := f.Load(&t.ver)
-			f.DrainCommits()
-			t.splitLocked(h)
-			f.Store(&t.ver, cur+1)
-			return
-		}
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		tx.Load(&t.fbGate)
+		cur := tx.Load(&t.ver)
+		tx.DrainCommits()
 		t.splitLocked(h)
-	})
+		tx.Store(&t.ver, cur+1)
+	}, htm.SlowPathOnly())
 }
 
-// splitLocked is split with the lock already held. It loops until the
+// splitLocked is split with every transaction excluded. It loops until the
 // bucket that overflowed has room (skewed fingerprints can force several
 // rounds).
 func (t *Table) splitLocked(h uint64) {

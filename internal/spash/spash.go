@@ -6,11 +6,12 @@
 //
 // Structure (both modes): an extendible-hashing directory and segments in
 // DRAM; KV pairs in NVM blocks referenced from bucket slots (fingerprint
-// + address packed in one word). Every operation runs as one hardware
-// transaction with a global-lock fallback; segment splits and directory
-// doubling run under that same lock, aborting concurrent transactions via
-// lock subscription. A DRAM hotspot detector tracks per-bucket access
-// frequency:
+// + address packed in one word). Every operation runs as one
+// htm.TM.Atomic call (a hardware transaction with the TM's slow-path
+// fallback); segment splits and directory doubling run on the slow path
+// behind a barrier word that every transaction reads, so they abort
+// concurrent transactions. A DRAM hotspot detector tracks per-bucket
+// access frequency:
 //
 //   - Spash (eADR heap): stores are durable at the point of visibility;
 //     flushes are pure performance hints. Cold blocks are proactively
@@ -25,8 +26,8 @@
 //     cheap bookkeeping.
 //
 // Deviations from the original (documented in DESIGN.md): background
-// segment movers are replaced by splits completed synchronously under the
-// fallback lock, and small cold writes are not coalesced into thread-local
+// segment movers are replaced by splits completed synchronously on the
+// slow path, and small cold writes are not coalesced into thread-local
 // chunks — the paper's own BD-Spash makes the same choice (Sec. 4.3).
 package spash
 
@@ -64,10 +65,9 @@ const (
 	bucketsPerSeg  = 8
 	slotsPerBucket = 8
 	segSlots       = bucketsPerSeg * slotsPerBucket
-	maxRetries     = 32
 
-	// splitCode aborts a transaction whose bucket is full; the operation
-	// then splits the segment under the fallback lock and retries.
+	// splitCode aborts a run whose bucket is full; the operation then
+	// splits the segment on the slow path and retries.
 	splitCode uint8 = 0xB5
 	// eadrEpoch is the constant epoch stamped into eADR-mode blocks when
 	// they are published (any value other than InvalidEpoch works: the
@@ -131,21 +131,19 @@ type Table struct {
 	sys   *epoch.System     // ModeBD
 	alloc *palloc.Allocator // ModeEADR
 	heap  *nvm.Heap         // heap holding KV blocks
-	lock  *htm.FallbackLock
 
 	dir         atomic.Pointer[[]uint64] // segment indices
 	globalDepth atomic.Uint64
-	segs        atomic.Pointer[[]*segment] // append-only under lock
+	segs        atomic.Pointer[[]*segment] // append-only, by splits
 
-	hybrid bool
-
-	// Hybrid split barriers, each on its own cache line. ver is read by
-	// every hybrid transaction in place of the global-lock subscription: a
-	// split locks and bumps it through its fallback session, excluding and
-	// aborting all transactions for exactly the split's duration. fbGate is
-	// locked first by every hybrid fallback session, serializing slow-path
-	// operations against each other and against splits (which mutate
-	// dir/segs natively) without ever conflicting with transactions.
+	// Split barriers, each on its own cache line. ver is read by every
+	// fast-path run: a split locks and bumps it through its slow-path
+	// session, excluding and aborting all transactions for exactly the
+	// split's duration. fbGate is locked first by every slow-path run,
+	// serializing slow-path operations against each other and against
+	// splits (which mutate dir/segs natively) without ever conflicting
+	// with transactions. Under GlobalFallback the TM's lock does both
+	// jobs and the barrier reads are harmless.
 	_      [7]uint64
 	ver    uint64
 	_      [7]uint64
@@ -184,7 +182,7 @@ func New(cfg Config) *Table {
 	if cfg.TM == nil {
 		panic("spash: TM required")
 	}
-	t := &Table{cfg: cfg, tm: cfg.TM, lock: htm.NewFallbackLock(cfg.TM), hybrid: cfg.TM.Hybrid(), perW: make([]spashWState, 512)}
+	t := &Table{cfg: cfg, tm: cfg.TM, perW: make([]spashWState, 512)}
 	switch cfg.Mode {
 	case ModeBD:
 		if cfg.Sys == nil {
@@ -248,14 +246,13 @@ func unpackAddr(s uint64) nvm.Addr        { return nvm.Addr(s & (1<<48 - 1)) }
 
 // locate returns the segment and bucket for a hash under the current
 // directory. The pointers are read non-transactionally; structural
-// changes happen only on the slow path behind the split barrier (global
-// lock subscription, or the hybrid ver word — see subscribe), so a
-// transaction that raced a split cannot commit.
+// changes happen only on the slow path behind the split barrier (see
+// barrier), so a run that raced a split cannot commit.
 func (t *Table) locate(h uint64) (seg *segment, bucket int) {
 	dir := *t.dir.Load()
 	segs := *t.segs.Load()
 	gd := t.globalDepth.Load()
-	idx := dir[h&(1<<gd-1)]
+	idx := atomic.LoadUint64(&dir[h&(1<<gd-1)]) // splits store directory words concurrently
 	return segs[idx], int(h >> 56 & (bucketsPerSeg - 1))
 }
 
@@ -311,41 +308,25 @@ func (t *Table) initBlock(b nvm.Addr, k, v uint64) {
 	}
 }
 
-// stampTx stamps the block's epoch inside a transaction.
+// stampTx stamps the block's epoch inside an Atomic body.
 func (t *Table) stampTx(tx *htm.Tx, b nvm.Addr, e uint64) {
 	hdr := tx.LoadAddr(t.heap, b)
 	hdr = hdr&^(palloc.InvalidEpoch) | e
 	tx.StoreAddr(t.heap, b, hdr)
 }
 
-// stampF is stampTx through a fallback session.
-func (t *Table) stampF(f *htm.Fallback, b nvm.Addr, e uint64) {
-	hdr := f.LoadAddr(t.heap, b)
-	hdr = hdr&^(palloc.InvalidEpoch) | e
-	f.StoreAddr(t.heap, b, hdr)
-}
-
-// resetEpochDirect re-invalidates an unused preallocated block.
-func (t *Table) resetEpochDirect(b nvm.Addr) {
-	hdr := t.heap.Load(b)
-	t.heap.Store(b, hdr|palloc.InvalidEpoch)
-}
-
 func (t *Table) epochTx(tx *htm.Tx, b nvm.Addr) uint64 {
 	return tx.LoadAddr(t.heap, b) & palloc.InvalidEpoch
 }
 
-func (t *Table) epochF(f *htm.Fallback, b nvm.Addr) uint64 {
-	return f.LoadAddr(t.heap, b) & palloc.InvalidEpoch
-}
-
-// subscribe orders a transaction against structural changes: global mode
-// subscribes to the fallback lock; hybrid mode reads the split barrier,
-// which a split locks and bumps for its duration.
-func (t *Table) subscribe(tx *htm.Tx) {
-	if t.hybrid {
-		tx.Load(&t.ver)
+// barrier orders a run against splits: the fast path reads the split
+// barrier ver, which a split locks and bumps for its duration; the slow
+// path locks the fallback gate, which serializes it against splits and
+// other slow-path runs.
+func (t *Table) barrier(tx *htm.Tx) {
+	if tx.Slow() {
+		tx.Load(&t.fbGate)
 	} else {
-		tx.Subscribe(t.lock)
+		tx.Load(&t.ver)
 	}
 }

@@ -11,12 +11,11 @@ import (
 // keys per one-word bitmap).
 const leafBits = 6
 
-// mem abstracts transactional vs fallback-path memory access so the vEB
-// recursion is written once. txMem routes through the hardware
-// transaction; fbMem routes through a slow-path session (per-line locks
-// on the hybrid path, direct accessors under the global lock); directMem
-// is for single-threaded contexts like recovery and the discarded
-// pre-walk (writes are published through the conflict-detection tables).
+// mem abstracts transactional vs direct memory access so the vEB
+// recursion is written once. txMem routes through an htm.TM.Atomic body
+// (on either path); directMem is for single-threaded contexts like
+// recovery and the discarded pre-walk (writes are published through the
+// conflict-detection tables).
 type mem interface {
 	load(p *uint64) uint64
 	store(p *uint64, v uint64)
@@ -26,17 +25,10 @@ type mem interface {
 
 type txMem struct{ tx *htm.Tx }
 
-func (m txMem) load(p *uint64) uint64                          { return m.tx.Load(p) }
-func (m txMem) store(p *uint64, v uint64)                      { m.tx.Store(p, v) }
-func (m txMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64        { return m.tx.LoadAddr(h, a) }
-func (m txMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64)    { m.tx.StoreAddr(h, a, v) }
-
-type fbMem struct{ f *htm.Fallback }
-
-func (m fbMem) load(p *uint64) uint64                       { return m.f.Load(p) }
-func (m fbMem) store(p *uint64, v uint64)                   { m.f.Store(p, v) }
-func (m fbMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64     { return m.f.LoadAddr(h, a) }
-func (m fbMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64) { m.f.StoreAddr(h, a, v) }
+func (m txMem) load(p *uint64) uint64                       { return m.tx.Load(p) }
+func (m txMem) store(p *uint64, v uint64)                   { m.tx.Store(p, v) }
+func (m txMem) loadHeap(h *nvm.Heap, a nvm.Addr) uint64     { return m.tx.LoadAddr(h, a) }
+func (m txMem) storeHeap(h *nvm.Heap, a nvm.Addr, v uint64) { m.tx.StoreAddr(h, a, v) }
 
 type directMem struct{ tm *htm.TM }
 

@@ -4,8 +4,8 @@
 // Khalaji et al. (PPoPP'24), in two flavors:
 //
 //   - HTM-vEB (transient): the whole tree, values included, lives in
-//     DRAM; each operation runs as one hardware transaction with a
-//     global-lock fallback.
+//     DRAM; each operation runs as one htm.TM.Atomic call (a hardware
+//     transaction with the TM's slow-path fallback).
 //   - PHTM-vEB (buffered durable): the index stays in DRAM for speed,
 //     while leaf value slots hold addresses of KV blocks in NVM managed
 //     by the epoch system. Operations follow the Listing-1 discipline
@@ -28,8 +28,6 @@ import (
 	"bdhtm/internal/obs"
 )
 
-const maxRetries = 64
-
 // BlockTag marks this tree's KV blocks in the shared NVM heap.
 const BlockTag uint8 = 0x7E
 
@@ -47,14 +45,12 @@ type Config struct {
 // Tree is a concurrent vEB tree mapping keys in [0, 2^UniverseBits) to
 // uint64 values.
 type Tree struct {
-	cfg    Config
-	tm     *htm.TM
-	sys    *epoch.System // nil for transient
-	pool   *pool
-	root   uint64
-	lock   *htm.FallbackLock
-	hybrid bool // fine-grained slow path: no global subscription
-	count  atomic.Int64
+	cfg   Config
+	tm    *htm.TM
+	sys   *epoch.System // nil for transient
+	pool  *pool
+	root  uint64
+	count atomic.Int64
 
 	// removals guards the fresh-insert path against acting on an absence
 	// created by a newer-epoch removal (see epoch.RemovalStamps).
@@ -79,13 +75,11 @@ func New(cfg Config) *Tree {
 		panic("veb: TM required")
 	}
 	t := &Tree{
-		cfg:    cfg,
-		tm:     cfg.TM,
-		sys:    cfg.DataSys,
-		pool:   newPool(),
-		lock:   htm.NewFallbackLock(cfg.TM),
-		hybrid: cfg.TM.Hybrid(),
-		perW:   make([]vebWState, 512),
+		cfg:  cfg,
+		tm:   cfg.TM,
+		sys:  cfg.DataSys,
+		pool: newPool(),
+		perW: make([]vebWState, 512),
 	}
 	t.root = t.pool.alloc(cfg.UniverseBits)
 	return t
@@ -129,57 +123,20 @@ func (t *Tree) Get(k uint64) (uint64, bool) {
 		// Deferred-args idiom: Now() is evaluated here, at op start.
 		defer t.obs.EndOp(obs.OpLookup, k, t.obs.Now())
 	}
-	preWalked := false
-	retries := 0
-	for {
-		var v uint64
-		var ok bool
-		var opts []htm.AttemptOption
-		if preWalked {
-			opts = append(opts, htm.PreWalked())
-		}
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
+	var v uint64
+	var ok bool
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		m := txMem{tx}
+		v, ok = 0, false
+		if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
+			v = m.load(slot)
+			if t.sys != nil {
+				v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
 			}
-			m := txMem{tx}
-			v, ok = 0, false
-			if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-				v = m.load(slot)
-				if t.sys != nil {
-					v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
-				}
-				ok = true
-			}
-		}, opts...)
-		if res.Committed {
-			return v, ok
+			ok = true
 		}
-		switch res.Cause {
-		case htm.CauseLocked:
-			t.lock.WaitUnlocked()
-		case htm.CauseMemType:
-			t.preWalk(k)
-			preWalked = true
-		default:
-			// On the hybrid path there is no global lock to wait out, so a
-			// persistently aborting read escapes into a read-only session.
-			if retries++; t.hybrid && retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-					m := fbMem{f}
-					v, ok = 0, false
-					if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-						v = m.load(slot)
-						if t.sys != nil {
-							v = t.sys.BlockAt(nvm.Addr(v)).ValueF(f)
-						}
-						ok = true
-					}
-				})
-				return v, ok
-			}
-		}
-	}
+	}, htm.PreWalk(func() { t.preWalk(k) }))
+	return v, ok
 }
 
 // Contains reports whether k is present.
@@ -192,50 +149,23 @@ func (t *Tree) Contains(k uint64) bool {
 // value.
 func (t *Tree) Successor(k uint64) (uint64, uint64, bool) {
 	t.checkKey(k)
-	retries := 0
-	for {
-		var sk, v uint64
-		var ok bool
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
-			m := txMem{tx}
-			sk = t.succRec(m, t.rootNode(), k)
-			if sk == EMPTY {
-				ok = false
-				return
-			}
-			slot := t.findSlot(m, t.rootNode(), sk)
-			v = m.load(slot)
-			if t.sys != nil {
-				v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
-			}
-			ok = true
-		})
-		if res.Committed {
-			return sk, v, ok
+	var sk, v uint64
+	var ok bool
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		m := txMem{tx}
+		sk, v, ok = 0, 0, false
+		sk = t.succRec(m, t.rootNode(), k)
+		if sk == EMPTY {
+			return
 		}
-		if res.Cause == htm.CauseLocked {
-			t.lock.WaitUnlocked()
-		} else if retries++; t.hybrid && retries >= maxRetries {
-			t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-				m := fbMem{f}
-				sk, v, ok = 0, 0, false
-				sk = t.succRec(m, t.rootNode(), k)
-				if sk == EMPTY {
-					return
-				}
-				slot := t.findSlot(m, t.rootNode(), sk)
-				v = m.load(slot)
-				if t.sys != nil {
-					v = t.sys.BlockAt(nvm.Addr(v)).ValueF(f)
-				}
-				ok = true
-			})
-			return sk, v, ok
+		slot := t.findSlot(m, t.rootNode(), sk)
+		v = m.load(slot)
+		if t.sys != nil {
+			v = t.sys.BlockAt(nvm.Addr(v)).ValueTx(tx)
 		}
-	}
+		ok = true
+	})
+	return sk, v, ok
 }
 
 // Range calls fn for every key in [lo, hi] in ascending order, stopping
@@ -277,55 +207,20 @@ func (t *Tree) Insert(w *epoch.Worker, k, v uint64) bool {
 }
 
 func (t *Tree) insertTransient(k, v uint64) bool {
-	retries := 0
-	preWalked := false
-	for {
-		var replaced bool
-		var opts []htm.AttemptOption
-		if preWalked {
-			opts = append(opts, htm.PreWalked())
+	var replaced bool
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		m := txMem{tx}
+		replaced = false
+		slot, inserted := t.insertRec(m, t.rootNode(), k, v)
+		if !inserted {
+			m.store(slot, v)
+			replaced = true
 		}
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
-			m := txMem{tx}
-			slot, inserted := t.insertRec(m, t.rootNode(), k, v)
-			if !inserted {
-				m.store(slot, v)
-				replaced = true
-			}
-		}, opts...)
-		switch {
-		case res.Committed:
-			if !replaced {
-				t.count.Add(1)
-			}
-			return replaced
-		case res.Cause == htm.CauseLocked:
-			t.lock.WaitUnlocked()
-		case res.Cause == htm.CauseMemType:
-			t.preWalk(k)
-			preWalked = true
-		default:
-			retries++
-			if retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-					m := fbMem{f}
-					replaced = false
-					slot, inserted := t.insertRec(m, t.rootNode(), k, v)
-					if !inserted {
-						m.store(slot, v)
-						replaced = true
-					}
-				})
-				if !replaced {
-					t.count.Add(1)
-				}
-				return replaced
-			}
-		}
+	}, htm.PreWalk(func() { t.preWalk(k) }))
+	if !replaced {
+		t.count.Add(1)
 	}
+	return replaced
 }
 
 func (t *Tree) insertPersistent(w *epoch.Worker, k, v uint64) bool {
@@ -340,26 +235,16 @@ retryRegist:
 
 	var retire, persist epoch.Block
 	var usedPrealloc, replaced bool
-	retries := 0
-	preWalked := false
-retryTxn:
-	retire, persist = epoch.Block{}, epoch.Block{}
-	usedPrealloc, replaced = false, false
-	var opts []htm.AttemptOption
-	if preWalked {
-		opts = append(opts, htm.PreWalked())
-	}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		retire, persist = epoch.Block{}, epoch.Block{}
+		usedPrealloc, replaced = false, false
 		m := txMem{tx}
-		newBlk.SetEpochTx(tx, opEpoch)
 		slot, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr()))
 		if inserted {
 			// Fresh insert: there is no block to epoch-compare, so the
 			// absence itself must be validated against newer removals.
 			t.removals.CheckTx(tx, k, opEpoch)
+			newBlk.SetEpochTx(tx, opEpoch)
 			persist, usedPrealloc = newBlk, true
 			return
 		}
@@ -370,40 +255,20 @@ retryTxn:
 		case be > opEpoch:
 			tx.Abort(epoch.OldSeeNewCode)
 		case be < opEpoch:
+			newBlk.SetEpochTx(tx, opEpoch)
 			m.store(slot, uint64(newBlk.Addr()))
 			retire, persist, usedPrealloc = blk, newBlk, true
 		default:
 			blk.SetValueTx(tx, v)
 		}
 		replaced = true
-	}, opts...)
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	}, htm.PreWalk(func() { t.preWalk(k) }))
+	if res.Code == epoch.OldSeeNewCode {
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	case res.Cause == htm.CauseMemType:
-		t.preWalk(k)
-		preWalked = true
-		retries++
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		if !t.insertFallback(w, opEpoch, k, v, newBlk, &retire, &persist, &usedPrealloc, &replaced) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
-	if !usedPrealloc {
-		newBlk.ResetEpoch() // the Sec. 5 phantom-prealloc pitfall
-	} else {
-		ws.prealloc = epoch.Block{}
+	if usedPrealloc {
+		ws.prealloc = epoch.Block{} // stamped only when linked: see bdhash.Insert
 	}
 	if !retire.IsNil() {
 		w.PRetire(retire)
@@ -416,49 +281,6 @@ retryTxn:
 	}
 	w.EndOp()
 	return replaced
-}
-
-// insertFallback performs the insert on the slow path — a fine-grained
-// fallback session in hybrid mode, the global lock otherwise; it returns
-// false if the operation must restart in a newer epoch.
-func (t *Tree) insertFallback(w *epoch.Worker, opEpoch, k, v uint64, newBlk epoch.Block,
-	retire, persist *epoch.Block, usedPrealloc, replaced *bool) bool {
-	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		// The session body may restart on lock contention: every output is
-		// reset here, and all shared writes are buffered until it finishes.
-		ok = true
-		*retire, *persist = epoch.Block{}, epoch.Block{}
-		*usedPrealloc, *replaced = false, false
-		m := fbMem{f}
-		if slot := t.findSlot(m, t.rootNode(), k); slot != nil {
-			blk := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-			be := blk.EpochF(f)
-			switch {
-			case be > opEpoch:
-				ok = false
-				return
-			case be < opEpoch:
-				newBlk.SetEpochF(f, opEpoch)
-				m.store(slot, uint64(newBlk.Addr()))
-				*retire, *persist, *usedPrealloc = blk, newBlk, true
-			default:
-				m.storeHeap(t.sys.Heap(), blk.Payload(1), v)
-			}
-			*replaced = true
-			return
-		}
-		if !t.removals.OkF(f, k, opEpoch) {
-			ok = false // absence created by a newer-epoch removal
-			return
-		}
-		newBlk.SetEpochF(f, opEpoch)
-		if _, inserted := t.insertRec(m, t.rootNode(), k, uint64(newBlk.Addr())); !inserted {
-			panic("veb: key appeared during fallback insert despite the slow-path locks")
-		}
-		*persist, *usedPrealloc = newBlk, true
-	})
-	return ok
 }
 
 // Remove deletes k, reporting whether it was present.
@@ -474,51 +296,22 @@ func (t *Tree) Remove(w *epoch.Worker, k uint64) bool {
 }
 
 func (t *Tree) removeTransient(k uint64) bool {
-	retries := 0
-	for {
-		var removed bool
-		res := t.tm.Attempt(func(tx *htm.Tx) {
-			if !t.hybrid {
-				tx.Subscribe(t.lock)
-			}
-			m := txMem{tx}
-			_, removed = t.removeRec(m, t.rootNode(), k)
-		})
-		switch {
-		case res.Committed:
-			if removed {
-				t.count.Add(-1)
-			}
-			return removed
-		case res.Cause == htm.CauseLocked:
-			t.lock.WaitUnlocked()
-		default:
-			retries++
-			if retries >= maxRetries {
-				t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-					m := fbMem{f}
-					_, removed = t.removeRec(m, t.rootNode(), k)
-				})
-				if removed {
-					t.count.Add(-1)
-				}
-				return removed
-			}
-		}
+	var removed bool
+	t.tm.Atomic(nil, func(tx *htm.Tx) {
+		_, removed = t.removeRec(txMem{tx}, t.rootNode(), k)
+	})
+	if removed {
+		t.count.Add(-1)
 	}
+	return removed
 }
 
 func (t *Tree) removePersistent(w *epoch.Worker, k uint64) bool {
 retryRegist:
 	opEpoch := w.BeginOp()
 	var retire epoch.Block
-	retries := 0
-retryTxn:
-	retire = epoch.Block{}
-	res := w.Attempt(t.tm, func(tx *htm.Tx) {
-		if !t.hybrid {
-			tx.Subscribe(t.lock)
-		}
+	res := w.Atomic(t.tm, func(tx *htm.Tx) {
+		retire = epoch.Block{}
 		m := txMem{tx}
 		val, ok := t.removeRec(m, t.rootNode(), k)
 		if !ok {
@@ -526,8 +319,8 @@ retryTxn:
 			t.removals.CheckTx(tx, k, opEpoch)
 			return
 		}
-		// Epoch check after the (speculative) mutation: an abort rolls
-		// the whole transaction back.
+		// Epoch check after the (buffered) mutation: an abort rolls the
+		// whole run back.
 		blk := t.sys.BlockAt(nvm.Addr(val))
 		if blk.EpochTx(tx) > opEpoch {
 			tx.Abort(epoch.OldSeeNewCode)
@@ -535,23 +328,9 @@ retryTxn:
 		t.removals.RaiseTx(tx, k, opEpoch)
 		retire = blk
 	})
-	switch {
-	case res.Committed:
-	case res.Cause == htm.CauseExplicit && res.Code == epoch.OldSeeNewCode:
+	if res.Code == epoch.OldSeeNewCode {
 		w.AbortOp()
 		goto retryRegist
-	case res.Cause == htm.CauseLocked:
-		t.lock.WaitUnlocked()
-		goto retryTxn
-	default:
-		retries++
-		if retries < maxRetries {
-			goto retryTxn
-		}
-		if !t.removeFallback(w, opEpoch, k, &retire) {
-			w.AbortOp()
-			goto retryRegist
-		}
 	}
 	removed := !retire.IsNil()
 	if removed {
@@ -560,32 +339,6 @@ retryTxn:
 	}
 	w.EndOp()
 	return removed
-}
-
-func (t *Tree) removeFallback(w *epoch.Worker, opEpoch, k uint64, retire *epoch.Block) bool {
-	ok := true
-	t.tm.RunFallback(t.lock, func(f *htm.Fallback) {
-		ok = true
-		*retire = epoch.Block{}
-		m := fbMem{f}
-		slot := t.findSlot(m, t.rootNode(), k)
-		if slot == nil {
-			// Absent: restart in a newer epoch if a newer removal made it so.
-			ok = t.removals.OkF(f, k, opEpoch)
-			return
-		}
-		blk := t.sys.BlockAt(nvm.Addr(m.load(slot)))
-		if blk.EpochF(f) > opEpoch {
-			ok = false
-			return
-		}
-		if _, removed := t.removeRec(m, t.rootNode(), k); !removed {
-			panic("veb: key vanished during fallback remove despite the slow-path locks")
-		}
-		t.removals.RaiseF(f, k, opEpoch)
-		*retire = blk
-	})
-	return ok
 }
 
 // RebuildBlock reinserts one recovered KV block into a fresh persistent
