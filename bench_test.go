@@ -23,20 +23,19 @@ import (
 	"testing"
 	"time"
 
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/mwcas"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/skiplist"
-	"bdhtm/internal/veb"
 	"bdhtm/internal/ycsb"
 )
 
 const benchKeySpace = 1 << 14
 
-func benchOpts() harness.Opts {
-	return harness.Opts{KeySpace: benchKeySpace, Latency: true}
+func benchOpts() kv.Env {
+	return kv.Env{KeySpace: benchKeySpace, Latency: true}
 }
 
 // benchMap drives b.N operations of the workload against one instance.
@@ -73,19 +72,19 @@ func distGen(d harness.Dist, mix ycsb.Mix, seed uint64) *ycsb.Generator {
 // --- Fig. 1 -------------------------------------------------------------------
 
 func BenchmarkFig1_HTMvEB_Uniform(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.HTMvEB, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig1_PHTMvEB_Uniform(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.VEB, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig1_HTMvEB_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.HTMvEB, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig1_PHTMvEB_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.VEB, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 // --- Fig. 2 -------------------------------------------------------------------
@@ -93,7 +92,7 @@ func BenchmarkFig1_PHTMvEB_Zipf(b *testing.B) {
 func BenchmarkFig2_AbortRates(b *testing.B) {
 	o := benchOpts()
 	o.MemTypeRate = 0.3 // the low-thread-count anomaly, mitigated by pre-walks
-	inst := harness.NewPHTMvEB(o)
+	inst := harness.Open(kv.VEB, o)
 	defer inst.Close()
 	harness.Prefill(inst, benchKeySpace)
 	h := inst.NewHandle()
@@ -111,7 +110,7 @@ func BenchmarkFig2_AbortRates(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	s := inst.TMStats()
+	s := inst.TM.Stats()
 	at := float64(s.Attempts())
 	b.ReportMetric(100*float64(s.Commits)/at, "%commit")
 	b.ReportMetric(100*float64(s.Conflict)/at, "%conflict")
@@ -121,35 +120,35 @@ func BenchmarkFig2_AbortRates(b *testing.B) {
 // --- Fig. 3 -------------------------------------------------------------------
 
 func BenchmarkFig3_PHTMvEB(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.VEB, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig3_LBTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewLBTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.LBTree, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig3_ElimTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewElimTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.ElimTree, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig3_OCCTree(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewOCCTree(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.OCCTree, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig3_PHTMvEB_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.VEB, benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
 }
 
 func BenchmarkFig3_LBTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewLBTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.LBTree, benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
 }
 
 func BenchmarkFig3_ElimTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewElimTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.ElimTree, benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
 }
 
 func BenchmarkFig3_OCCTree_ReadHeavy_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewOCCTree(benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.OCCTree, benchOpts()) }, harness.Zipf99, ycsb.ReadHeavy)
 }
 
 // --- Table 3 ------------------------------------------------------------------
@@ -157,22 +156,13 @@ func BenchmarkFig3_OCCTree_ReadHeavy_Zipf(b *testing.B) {
 func BenchmarkTable3_Space(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var report string
-		for _, build := range []func(harness.Opts) *harness.Instance{
-			harness.NewHTMvEB, harness.NewPHTMvEB, harness.NewLBTree,
-			harness.NewElimTree, harness.NewOCCTree,
-		} {
-			inst := build(benchOpts())
+		for _, d := range []*kv.Desc{kv.HTMvEB, kv.VEB, kv.LBTree, kv.ElimTree, kv.OCCTree} {
+			inst := harness.Open(d, benchOpts())
 			harness.Prefill(inst, benchKeySpace)
-			if inst.Sync != nil {
-				inst.Sync()
+			if inst.Sys != nil {
+				inst.Sys.Sync()
 			}
-			var dram, nv int64
-			if inst.DRAMBytes != nil {
-				dram = inst.DRAMBytes()
-			}
-			if inst.NVMBytes != nil {
-				nv = inst.NVMBytes()
-			}
+			dram, nv := inst.DRAMBytes(), inst.NVMBytes()
 			report += fmt.Sprintf("%s: DRAM %.2f MiB, NVM %.2f MiB; ",
 				inst.Name, float64(dram)/(1<<20), float64(nv)/(1<<20))
 			inst.Close()
@@ -244,48 +234,48 @@ func BenchmarkFig4_PMwCAS_4(b *testing.B) {
 // --- Fig. 5 -------------------------------------------------------------------
 
 func benchSkiplist(b *testing.B, v skiplist.Variant) {
-	benchMap(b, func() *harness.Instance { return harness.NewSkiplist(v, benchOpts()) },
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.SkiplistVariant(v), benchOpts()) },
 		harness.Uniform, ycsb.WriteHeavy)
 }
 
-func BenchmarkFig5_DLSkiplist(b *testing.B)      { benchSkiplist(b, skiplist.DL) }
-func BenchmarkFig5_PNoFlush(b *testing.B)        { benchSkiplist(b, skiplist.PNoFlush) }
-func BenchmarkFig5_PHTMMwCAS(b *testing.B)       { benchSkiplist(b, skiplist.PHTMMwCAS) }
-func BenchmarkFig5_BDLSkiplist(b *testing.B)     { benchSkiplist(b, skiplist.BDL) }
+func BenchmarkFig5_DLSkiplist(b *testing.B)        { benchSkiplist(b, skiplist.DL) }
+func BenchmarkFig5_PNoFlush(b *testing.B)          { benchSkiplist(b, skiplist.PNoFlush) }
+func BenchmarkFig5_PHTMMwCAS(b *testing.B)         { benchSkiplist(b, skiplist.PHTMMwCAS) }
+func BenchmarkFig5_BDLSkiplist(b *testing.B)       { benchSkiplist(b, skiplist.BDL) }
 func BenchmarkFig5_TransientSkiplist(b *testing.B) { benchSkiplist(b, skiplist.Transient) }
 
 // --- Fig. 6 -------------------------------------------------------------------
 
 func BenchmarkFig6_BDSpash(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewBDSpash(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.Spash, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_Spash(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewSpash(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.SpashEADR, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_CCEH(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewCCEH(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.CCEH, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_Plush(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPlush(benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.Plush, benchOpts()) }, harness.Uniform, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_BDSpash_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewBDSpash(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.Spash, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_Spash_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewSpash(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.SpashEADR, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_CCEH_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewCCEH(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.CCEH, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 func BenchmarkFig6_Plush_Zipf(b *testing.B) {
-	benchMap(b, func() *harness.Instance { return harness.NewPlush(benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.Plush, benchOpts()) }, harness.Zipf99, ycsb.WriteHeavy)
 }
 
 // --- Fig. 7 -------------------------------------------------------------------
@@ -294,7 +284,7 @@ func benchEpochLength(b *testing.B, el time.Duration, dist harness.Dist) {
 	o := benchOpts()
 	o.EpochLength = el
 	o.CacheLines = 1 << 13
-	benchMap(b, func() *harness.Instance { return harness.NewPHTMvEB(o) }, dist, ycsb.Mix{ReadPct: 20})
+	benchMap(b, func() *harness.Instance { return harness.Open(kv.VEB, o) }, dist, ycsb.Mix{ReadPct: 20})
 }
 
 func BenchmarkFig7_Epoch100us_Zipf99(b *testing.B) {
@@ -322,7 +312,7 @@ func BenchmarkFig8_NVMSpace(b *testing.B) {
 			for _, d := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 				o := benchOpts()
 				o.EpochLength = el
-				inst := harness.NewPHTMvEB(o)
+				inst := harness.Open(kv.VEB, o)
 				harness.Run(inst, harness.Workload{
 					KeySpace: benchKeySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true,
 				}, 1, 100*time.Millisecond, 5)
@@ -338,61 +328,32 @@ func BenchmarkFig8_NVMSpace(b *testing.B) {
 
 // --- Sec. 5.2 recovery ---------------------------------------------------------
 
-func BenchmarkRecovery_PHTMvEB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		h := nvm.New(nvm.Config{Words: 1 << 21})
-		sys := epoch.New(h, epoch.Config{Manual: true})
-		t := veb.New(veb.Config{UniverseBits: 14, TM: htm.Default(), DataSys: sys})
-		w := sys.Register()
-		for k := uint64(0); k < benchKeySpace; k += 2 {
-			t.Insert(w, k, k)
-		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		b.StartTimer()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(h, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		t2 := veb.New(veb.Config{UniverseBits: 14, TM: htm.Default(), DataSys: sys2})
-		for _, r := range recs {
-			t2.RebuildBlock(r)
-		}
-		b.StopTimer()
-		if t2.Len() != benchKeySpace/2 {
-			b.Fatalf("recovered %d keys", t2.Len())
-		}
-		sys2.Stop()
-	}
-}
+func BenchmarkRecovery_PHTMvEB(b *testing.B) { benchRecovery(b, kv.VEB) }
 
-func BenchmarkRecovery_BDLSkiplist(b *testing.B) {
+func BenchmarkRecovery_BDLSkiplist(b *testing.B) { benchRecovery(b, kv.Skiplist) }
+
+// benchRecovery times recovery (header scan plus index rebuild) of a
+// half-filled, fully synced structure.
+func benchRecovery(b *testing.B, d *kv.Desc) {
+	env := kv.Env{KeySpace: benchKeySpace, Manual: true}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nh := nvm.New(nvm.Config{Words: 1 << 21})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		l := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM}),
-			DataSys:   sys, TM: htm.Default()})
-		hd := l.NewHandle()
+		st := d.Open(env)
+		h := st.NewHandle()
 		for k := uint64(0); k < benchKeySpace; k += 2 {
-			hd.Insert(k, k)
+			h.Insert(k, k)
 		}
-		hd.Close()
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
+		st.Sys.Sync()
+		st.Crash(nvm.CrashOptions{})
 		b.StartTimer()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		l2 := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: 1 << 21, Mode: nvm.ModeDRAM}),
-			DataSys:   sys2, TM: htm.Default()})
-		for _, r := range recs {
-			l2.RebuildBlock(r)
-		}
+		rec, err := d.Recover(env, st.Heap)
 		b.StopTimer()
-		if l2.Len() != benchKeySpace/2 {
-			b.Fatalf("recovered %d keys", l2.Len())
+		if err != nil {
+			b.Fatal(err)
 		}
-		sys2.Stop()
+		if rec.Len() != benchKeySpace/2 {
+			b.Fatalf("recovered %d keys", rec.Len())
+		}
+		rec.Close()
 	}
 }

@@ -24,15 +24,13 @@ import (
 	"time"
 
 	"bdhtm/internal/durability"
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/mwcas"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/skiplist"
-	"bdhtm/internal/spash"
-	"bdhtm/internal/veb"
 	"bdhtm/internal/ycsb"
 )
 
@@ -196,7 +194,7 @@ func tailLatency() {
 	rows := map[string]harness.LatencyResult{}
 	var order []string
 	for _, v := range variants {
-		inst := harness.NewSkiplist(v, opts())
+		inst := harness.Open(kv.SkiplistVariant(v), opts())
 		wl := harness.Workload{KeySpace: *keySpace, Dist: harness.Uniform, Mix: ycsb.WriteHeavy, Prefill: true}
 		rows[inst.Name] = harness.RunLatency(inst, wl, 20000, 2, 21)
 		order = append(order, inst.Name)
@@ -219,10 +217,10 @@ func threadList() []int {
 	return out
 }
 
-func opts() harness.Opts {
-	return harness.Opts{
+func opts() kv.Env {
+	return kv.Env{
 		KeySpace: *keySpace, Latency: *latency, Obs: benchObs,
-		EpochShards: *epochShards, AsyncAdvance: *asyncAdv,
+		Shards: *epochShards, Async: *asyncAdv,
 		Engine: *engineFlag,
 	}
 }
@@ -237,8 +235,8 @@ func fig1() {
 	for _, dist := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 		wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: ycsb.WriteHeavy, Prefill: true}
 		series := []harness.Series{
-			sweep(func() *harness.Instance { return harness.NewHTMvEB(opts()) }, wl),
-			sweep(func() *harness.Instance { return harness.NewPHTMvEB(opts()) }, wl),
+			sweep(func() *harness.Instance { return harness.Open(kv.HTMvEB, opts()) }, wl),
+			sweep(func() *harness.Instance { return harness.Open(kv.VEB, opts()) }, wl),
 		}
 		harness.PrintFigure(os.Stdout,
 			fmt.Sprintf("Fig. 1 — vEB trees, write-heavy, %s (keyspace 2^%d)", dist, log2(*keySpace)), series)
@@ -253,7 +251,7 @@ func fig2() {
 		fmt.Printf("%-8s %-10s %9s %9s %9s %9s %9s\n",
 			"threads", "tree", "commit", "conflict", "capacity", "memtype", "other")
 		for _, n := range threadList() {
-			for _, b := range []func(harness.Opts) *harness.Instance{harness.NewHTMvEB, harness.NewPHTMvEB} {
+			for _, d := range []*kv.Desc{kv.HTMvEB, kv.VEB} {
 				o := opts()
 				if n <= 2 {
 					// The anomaly appeared at low thread counts on the
@@ -261,10 +259,10 @@ func fig2() {
 					// structures' pre-walk retry.
 					o.MemTypeRate = 0.3
 				}
-				inst := b(o)
+				inst := harness.Open(d, o)
 				wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: ycsb.WriteHeavy, Prefill: true}
 				harness.Run(inst, wl, n, *duration, 42)
-				s := inst.TMStats()
+				s := inst.TM.Stats()
 				at := float64(s.Attempts())
 				if at == 0 {
 					at = 1
@@ -283,28 +281,21 @@ func fig2() {
 
 // fig3: persistent trees, four panels (distribution x mix).
 func fig3() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewPHTMvEB, harness.NewLBTree, harness.NewElimTree, harness.NewOCCTree,
-	}
-	panels(builders, "Fig. 3 — persistent trees")
+	panels([]*kv.Desc{kv.VEB, kv.LBTree, kv.ElimTree, kv.OCCTree}, "Fig. 3 — persistent trees")
 }
 
 // fig6: persistent hash tables, four panels.
 func fig6() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewBDSpash, harness.NewSpash, harness.NewCCEH, harness.NewPlush,
-	}
-	panels(builders, "Fig. 6 — persistent hash tables")
+	panels([]*kv.Desc{kv.Spash, kv.SpashEADR, kv.CCEH, kv.Plush}, "Fig. 6 — persistent hash tables")
 }
 
-func panels(builders []func(harness.Opts) *harness.Instance, title string) {
+func panels(descs []*kv.Desc, title string) {
 	for _, dist := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 		for _, mix := range []ycsb.Mix{ycsb.WriteHeavy, ycsb.ReadHeavy} {
 			wl := harness.Workload{KeySpace: *keySpace, Dist: dist, Mix: mix, Prefill: true}
 			var series []harness.Series
-			for _, b := range builders {
-				b := b
-				series = append(series, sweep(func() *harness.Instance { return b(opts()) }, wl))
+			for _, d := range descs {
+				series = append(series, sweep(func() *harness.Instance { return harness.Open(d, opts()) }, wl))
 			}
 			harness.PrintFigure(os.Stdout,
 				fmt.Sprintf("%s, %s, %d%% reads", title, dist, mix.ReadPct), series)
@@ -315,24 +306,14 @@ func panels(builders []func(harness.Opts) *harness.Instance, title string) {
 // table3: space consumption of the five trees, prefilled with half the
 // universe.
 func table3() {
-	builders := []func(harness.Opts) *harness.Instance{
-		harness.NewHTMvEB, harness.NewPHTMvEB, harness.NewLBTree,
-		harness.NewElimTree, harness.NewOCCTree,
-	}
 	var rows [][2]string
-	for _, b := range builders {
-		inst := b(opts())
+	for _, d := range []*kv.Desc{kv.HTMvEB, kv.VEB, kv.LBTree, kv.ElimTree, kv.OCCTree} {
+		inst := harness.Open(d, opts())
 		harness.Prefill(inst, *keySpace)
-		if inst.Sync != nil {
-			inst.Sync()
+		if inst.Sys != nil {
+			inst.Sys.Sync()
 		}
-		var dram, nvmB int64
-		if inst.DRAMBytes != nil {
-			dram = inst.DRAMBytes()
-		}
-		if inst.NVMBytes != nil {
-			nvmB = inst.NVMBytes()
-		}
+		dram, nvmB := inst.DRAMBytes(), inst.NVMBytes()
 		rows = append(rows, [2]string{inst.Name,
 			fmt.Sprintf("DRAM %8.1f MiB   NVM %8.1f MiB",
 				float64(dram)/(1<<20), float64(nvmB)/(1<<20))})
@@ -427,8 +408,7 @@ func fig5() {
 	for _, v := range []skiplist.Variant{
 		skiplist.DL, skiplist.PNoFlush, skiplist.PHTMMwCAS, skiplist.BDL, skiplist.Transient,
 	} {
-		v := v
-		series = append(series, sweep(func() *harness.Instance { return harness.NewSkiplist(v, opts()) }, wl))
+		series = append(series, sweep(func() *harness.Instance { return harness.Open(kv.SkiplistVariant(v), opts()) }, wl))
 	}
 	harness.PrintFigure(os.Stdout,
 		fmt.Sprintf("Fig. 5 — skiplists, uniform, read:write 2:8 (keyspace 2^%d)", log2(*keySpace)), series)
@@ -458,7 +438,7 @@ func fig7() {
 			o := opts()
 			o.EpochLength = el
 			o.CacheLines = 1 << 13 // 512 KiB simulated cache
-			inst := harness.NewPHTMvEB(o)
+			inst := harness.Open(kv.VEB, o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
 			r := harness.Run(inst, wl, 1, *duration, 11)
 			inst.Close()
@@ -482,7 +462,7 @@ func fig8() {
 		for _, d := range []harness.Dist{harness.Uniform, harness.Zipf99} {
 			o := opts()
 			o.EpochLength = el
-			inst := harness.NewPHTMvEB(o)
+			inst := harness.Open(kv.VEB, o)
 			wl := harness.Workload{KeySpace: *keySpace, Dist: d, Mix: ycsb.WriteOnly, Prefill: true}
 			harness.Run(inst, wl, 1, *duration, 13)
 			mb := float64(inst.NVMBytes()) / (1 << 20)
@@ -498,81 +478,23 @@ func fig8() {
 func recovery() {
 	records := int(*keySpace / 2)
 	fmt.Printf("\nSec. 5.2 — recovery time, %d records\n", records)
-
-	// PHTM-vEB.
-	{
-		h := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(h, epoch.Config{Manual: true})
-		tm := htm.Default()
-		t := veb.New(veb.Config{UniverseBits: uint8(log2(*keySpace)), TM: tm, DataSys: sys})
-		w := sys.Register()
+	env := kv.Env{KeySpace: *keySpace, Manual: true}
+	for _, d := range []*kv.Desc{kv.VEB, kv.Skiplist, kv.Spash} {
+		st := d.Open(env)
+		h := st.NewHandle()
 		for k := uint64(0); k < *keySpace; k += 2 {
-			t.Insert(w, k, k)
+			h.Insert(k, k)
 		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(h, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		t2 := veb.New(veb.Config{UniverseBits: uint8(log2(*keySpace)), TM: htm.Default(), DataSys: sys2})
-		start = time.Now()
-		for _, r := range recs {
-			t2.RebuildBlock(r)
+		st.Sys.Sync()
+		st.Crash(nvm.CrashOptions{})
+		rec, err := d.Recover(env, st.Heap)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bdbench: recovery: %v\n", err)
+			os.Exit(1)
 		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "PHTM-vEB", scan, time.Since(start), len(recs))
-		sys2.Stop()
-	}
-	// BDL-Skiplist.
-	{
-		nh := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		l := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: heapWordsFor(*keySpace), Mode: nvm.ModeDRAM}),
-			DataSys:   sys, TM: htm.Default()})
-		hd := l.NewHandle()
-		for k := uint64(0); k < *keySpace; k += 2 {
-			hd.Insert(k, k)
-		}
-		hd.Close()
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		l2 := skiplist.New(skiplist.Config{Variant: skiplist.BDL,
-			IndexHeap: nvm.New(nvm.Config{Words: heapWordsFor(*keySpace), Mode: nvm.ModeDRAM}),
-			DataSys:   sys2, TM: htm.Default()})
-		start = time.Now()
-		for _, r := range recs {
-			l2.RebuildBlock(r)
-		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "BDL-Skiplist", scan, time.Since(start), len(recs))
-		sys2.Stop()
-	}
-	// BD-Spash.
-	{
-		nh := nvm.New(nvm.Config{Words: heapWordsFor(*keySpace)})
-		sys := epoch.New(nh, epoch.Config{Manual: true})
-		t := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: htm.Default()})
-		w := sys.Register()
-		for k := uint64(0); k < *keySpace; k += 2 {
-			t.Insert(w, k, k)
-		}
-		sys.Sync()
-		sys.SimulateCrash(nvm.CrashOptions{})
-		start := time.Now()
-		var recs []epoch.BlockRecord
-		sys2 := epoch.Recover(nh, epoch.Config{Manual: true}, func(r epoch.BlockRecord) { recs = append(recs, r) })
-		scan := time.Since(start)
-		t2 := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys2, TM: htm.Default()})
-		start = time.Now()
-		for _, r := range recs {
-			t2.RebuildBlock(r)
-		}
-		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", "BD-Spash", scan, time.Since(start), len(recs))
-		sys2.Stop()
+		fmt.Printf("  %-14s scan %10v   rebuild %10v   (%d blocks)\n", d.Title,
+			time.Duration(rec.Sys.Stats().RecoveryScanNS), time.Duration(rec.RebuildNS), len(rec.Records))
+		rec.Close()
 	}
 }
 
@@ -594,17 +516,17 @@ func advanceScaling() {
 		async  bool
 	}{{1, false}, {4, false}, {1, true}, {4, true}} {
 		o := opts()
-		o.EpochShards = c.shards
-		o.AsyncAdvance = c.async
+		o.Shards = c.shards
+		o.Async = c.async
 		o.EpochLength = 2 * time.Millisecond
-		inst := harness.NewPHTMvEB(o)
+		inst := harness.Open(kv.VEB, o)
 		name := fmt.Sprintf("PHTM-vEB/shards=%d", c.shards)
 		if c.async {
 			name += "+async"
 		}
 		inst.Name = name
 		r := harness.Run(inst, wl, n, *duration, 42)
-		st := inst.EpochStats()
+		st := inst.Sys.Stats()
 		inst.Close()
 		fmt.Printf("  shards=%d async=%-5v  %8.3f Mops/s   advance p99 %8.1f µs   backpressure %d\n",
 			c.shards, c.async, r.Throughput, float64(st.AdvanceP99NS)/1e3, st.Backpressure)
@@ -639,12 +561,12 @@ func engineComparison() {
 		o := opts()
 		o.Engine = eng
 		o.EpochLength = 2 * time.Millisecond
-		inst := harness.NewPHTMvEB(o)
+		inst := harness.Open(kv.VEB, o)
 		inst.Name = "PHTM-vEB/" + eng
-		base := inst.NVMStats()
+		base := inst.Heap.Stats()
 		r := harness.Run(inst, wl, n, *duration, 42)
-		d := inst.NVMStats().Sub(base)
-		st := inst.EpochStats()
+		d := inst.Heap.Stats().Sub(base)
+		st := inst.Sys.Stats()
 		inst.Close()
 		fpo := 0.0
 		if r.Ops > 0 {
@@ -654,14 +576,6 @@ func engineComparison() {
 			eng, r.Throughput, fpo, d.WriteAmplification(),
 			st.EngineCommits, st.EngineFences, st.LogSpills)
 	}
-}
-
-func heapWordsFor(keySpace uint64) int {
-	w := int(keySpace) * 32
-	if w < 1<<21 {
-		w = 1 << 21
-	}
-	return w
 }
 
 func log2(v uint64) int {

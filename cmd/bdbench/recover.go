@@ -5,10 +5,8 @@ import (
 	"os"
 	"time"
 
-	"bdhtm/internal/bdhash"
-	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
-	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -93,31 +91,26 @@ func recoverExperiment() {
 // and rebuild times (ns) and the block counters.
 func recoverCell(heapWords, workers int) (scanNS, rebuildNS, blocks, resurrected int64) {
 	records := heapWords / 32
-	h := nvm.New(nvm.Config{Words: heapWords})
-	sys := epoch.New(h, epoch.Config{Manual: true})
-	tab := bdhash.New(sys, htm.Default(), records*2, 1)
-	w := sys.Register()
+	env := kv.Env{KeySpace: uint64(records) * 2, HeapWords: heapWords, Manual: true}
+	st := kv.BDHash.Open(env)
+	h := st.NewHandle()
 	for k := 0; k < records; k++ {
-		tab.Insert(w, uint64(k), uint64(k)*3+1)
+		h.Insert(uint64(k), uint64(k)*3+1)
 	}
-	sys.Sync()
+	st.Sys.Sync()
 	// Unsynced remove wave, fully evicted: the scan must resurrect these.
 	for k := 0; k < records/8; k++ {
-		tab.Remove(w, uint64(k))
+		h.Remove(uint64(k))
 	}
-	sys.SimulateCrash(nvm.CrashOptions{EvictFraction: 1})
+	st.Crash(nvm.CrashOptions{EvictFraction: 1})
 
-	var recs []epoch.BlockRecord
-	sys2 := epoch.Recover(h, epoch.Config{Manual: true, RecoveryWorkers: workers}, func(r epoch.BlockRecord) {
-		recs = append(recs, r)
-	})
-	tab2 := bdhash.New(sys2, htm.Default(), records*2, 1)
-	rebuildStart := time.Now()
-	for _, r := range recs {
-		tab2.RebuildBlock(r)
+	env.RecoveryWorkers = workers
+	rec, err := kv.BDHash.Recover(env, st.Heap)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bdbench: recover: %v\n", err)
+		os.Exit(1)
 	}
-	rebuildNS = time.Since(rebuildStart).Nanoseconds()
-	st := sys2.Stats()
-	sys2.Stop()
-	return st.RecoveryScanNS, max(rebuildNS, 1), int64(len(recs)), st.Resurrected
+	stats := rec.Sys.Stats()
+	rec.Close()
+	return stats.RecoveryScanNS, max(rec.RebuildNS, 1), int64(len(rec.Records)), stats.Resurrected
 }

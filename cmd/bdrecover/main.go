@@ -1,7 +1,7 @@
 // Command bdrecover demonstrates and times crash recovery for the
 // buffered-durable structures (Sec. 5.2 of the paper).
 //
-//	bdrecover [-structure veb|skiplist|spash|hash] [-records N] [-evict F]
+//	bdrecover [-structure bdhash|veb|skiplist|spash] [-records N] [-evict F]
 //	          [-engine bdl|undo|redo4f|redo2f|quadra] [-workers N]
 //
 // It fills the structure, makes the data durable, power-fails the heap
@@ -15,22 +15,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/bdhash"
 	"bdhtm/internal/durability"
-	"bdhtm/internal/epoch"
-	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
-	"bdhtm/internal/spash"
-	"bdhtm/internal/veb"
 )
 
 var (
-	structure  = flag.String("structure", "hash", "veb | skiplist | spash | hash")
+	structure  = flag.String("structure", "bdhash", strings.Join(kv.Names(kv.IsBuffered), " | "))
 	records    = flag.Int("records", 100000, "number of KV records")
 	evict      = flag.Float64("evict", 0.5, "fraction of dirty lines written back before the crash")
 	tail       = flag.Int("tail", 1000, "unsynced operations issued after the checkpoint")
@@ -38,24 +34,6 @@ var (
 	workers    = flag.Int("workers", 1, "recovery scan worker goroutines")
 	obsHTTP    = flag.String("obs-http", "", "serve /obs, /metrics and /debug/pprof on this address during the run")
 )
-
-// rebuilder abstracts "rebuild the DRAM index from recovered blocks".
-type rebuilder interface {
-	RebuildBlock(epoch.BlockRecord)
-	Len() int
-	Get(k uint64) (uint64, bool)
-}
-
-type vebAdapter struct{ *veb.Tree }
-
-func (a vebAdapter) Get(k uint64) (uint64, bool) { return a.Tree.Get(k) }
-
-type slAdapter struct {
-	*skiplist.List
-	h *skiplist.Handle
-}
-
-func (a slAdapter) Get(k uint64) (uint64, bool) { return a.h.Get(k) }
 
 // runConfig parameterizes one fill/crash/recover/verify cycle; main maps
 // the flags onto it and tests drive it directly.
@@ -108,38 +86,43 @@ func main() {
 }
 
 func run(cfg runConfig) error {
-	heap := nvm.New(nvm.Config{Words: wordsFor(cfg.records)})
+	d, err := kv.Lookup(cfg.structure)
+	if err != nil || !kv.IsBuffered(d) {
+		return fmt.Errorf("unknown structure %q", cfg.structure)
+	}
 	// The heap must be formatted and recovered by the same engine: the
 	// engine writes an identity word at format time and recovery panics
-	// on a mismatch, so -engine is threaded into both configs.
-	sys := epoch.New(heap, epoch.Config{Manual: true, Engine: cfg.engine, Obs: cfg.obs})
-
-	insert, _, err := build(cfg.structure, sys, cfg.records)
-	if err != nil {
-		return err
+	// on a mismatch, so -engine is threaded into both.
+	env := kv.Env{
+		KeySpace:  uint64(cfg.records) * 2,
+		HeapWords: max(cfg.records*24, 1<<21),
+		Manual:    true,
+		Engine:    cfg.engine,
+		Obs:       cfg.obs,
 	}
+	st := d.Open(env)
 	fmt.Fprintf(cfg.out, "filling %s with %d records...\n", cfg.structure, cfg.records)
-	w := sys.Register()
+	h := st.NewHandle()
 	for k := 0; k < cfg.records; k++ {
-		insert(w, uint64(k), uint64(k)*3+1)
+		h.Insert(uint64(k), uint64(k)*3+1)
 	}
-	sys.Sync()
-	fmt.Fprintf(cfg.out, "checkpoint: persisted epoch %d\n", sys.PersistedEpoch())
+	st.Sys.Sync()
+	fmt.Fprintf(cfg.out, "checkpoint: persisted epoch %d\n", st.Sys.PersistedEpoch())
 
 	for k := 0; k < cfg.tail; k++ {
-		insert(w, uint64(k), 7) // updates the crash will roll back
+		h.Insert(uint64(k), 7) // updates the crash will roll back
 	}
 
-	sys.SimulateCrash(nvm.CrashOptions{EvictFraction: cfg.evict})
+	st.Crash(nvm.CrashOptions{EvictFraction: cfg.evict})
 	fmt.Fprintf(cfg.out, "-- crash (evict fraction %.2f) --\n", cfg.evict)
 
-	rcfg := epoch.Config{Manual: true, Engine: cfg.engine, RecoveryWorkers: cfg.workers, Obs: cfg.obs}
+	env.RecoveryWorkers = cfg.workers
 	scanStart := time.Now()
 	if cfg.progress {
 		// Live progress, printed at most every 100ms. The tick arrives
 		// concurrently from scan workers; the CAS elects one printer.
 		var lastPrint atomic.Int64
-		rcfg.RecoveryTick = func(slabs, recovered, resurrected int64) {
+		env.RecoveryTick = func(slabs, recovered, resurrected int64) {
 			now := time.Now().UnixNano()
 			last := lastPrint.Load()
 			if now-last < 100*int64(time.Millisecond) || !lastPrint.CompareAndSwap(last, now) {
@@ -150,96 +133,31 @@ func run(cfg runConfig) error {
 				slabs, recovered, resurrected, float64(resurrected)/elapsed)
 		}
 	}
-	var recs []epoch.BlockRecord
-	sys2 := epoch.Recover(heap, rcfg, func(r epoch.BlockRecord) {
-		recs = append(recs, r)
-	})
-	scan := time.Since(scanStart)
+	rec, err := d.Recover(env, st.Heap)
+	if err != nil {
+		return err
+	}
+	defer rec.Close()
 	if cfg.progress {
 		fmt.Fprintln(cfg.out)
 	}
 
-	_, makeRebuilder, err := build(cfg.structure, sys2, cfg.records)
-	if err != nil {
-		return err
-	}
-	rb := makeRebuilder()
-	rebuildStart := time.Now()
-	for _, r := range recs {
-		rb.RebuildBlock(r)
-	}
-	rebuild := time.Since(rebuildStart)
-
-	st := sys2.Stats()
+	stats := rec.Sys.Stats()
 	fmt.Fprintf(cfg.out, "heap scan:      %v (%d blocks, %d resurrected, %d workers)\n",
-		scan, len(recs), st.Resurrected, cfg.workers)
-	fmt.Fprintf(cfg.out, "index rebuild:  %v\n", rebuild)
+		time.Duration(stats.RecoveryScanNS), len(rec.Records), stats.Resurrected, cfg.workers)
+	fmt.Fprintf(cfg.out, "index rebuild:  %v\n", time.Duration(rec.RebuildNS))
 
 	bad := 0
+	h = rec.NewHandle()
 	for k := 0; k < cfg.records; k++ {
-		if v, ok := rb.Get(uint64(k)); !ok || v != uint64(k)*3+1 {
+		if v, ok := h.Get(uint64(k)); !ok || v != uint64(k)*3+1 {
 			bad++
 		}
 	}
-	if bad != 0 || rb.Len() != cfg.records {
-		return fmt.Errorf("verification failed: %d bad records, Len=%d want %d", bad, rb.Len(), cfg.records)
+	if bad != 0 || rec.Len() != cfg.records {
+		return fmt.Errorf("verification failed: %d bad records, Len=%d want %d", bad, rec.Len(), cfg.records)
 	}
 	fmt.Fprintf(cfg.out, "verified: all %d checkpointed records intact; %d unsynced updates rolled back\n",
 		cfg.records, cfg.tail)
-	sys2.Stop()
 	return nil
-}
-
-// build returns an insert function bound to a fresh structure on sys, and
-// a constructor for the post-crash rebuilder (bound to the same sys).
-func build(kind string, sys *epoch.System, records int) (func(*epoch.Worker, uint64, uint64), func() rebuilder, error) {
-	switch kind {
-	case "veb":
-		bits := uint8(1)
-		for 1<<bits < records*2 {
-			bits++
-		}
-		t := veb.New(veb.Config{UniverseBits: bits, TM: htm.Default(), DataSys: sys})
-		return func(w *epoch.Worker, k, v uint64) { t.Insert(w, k, v) },
-			func() rebuilder {
-				return vebAdapter{veb.New(veb.Config{UniverseBits: bits, TM: htm.Default(), DataSys: sys})}
-			}, nil
-	case "skiplist":
-		mk := func() *skiplist.List {
-			return skiplist.New(skiplist.Config{
-				Variant:   skiplist.BDL,
-				IndexHeap: nvm.New(nvm.Config{Words: wordsFor(records), Mode: nvm.ModeDRAM}),
-				DataSys:   sys, TM: htm.Default(),
-			})
-		}
-		l := mk()
-		h := l.NewHandle()
-		return func(w *epoch.Worker, k, v uint64) { _ = w; h.Insert(k, v) },
-			func() rebuilder {
-				l2 := mk()
-				return slAdapter{List: l2, h: l2.NewHandle()}
-			}, nil
-	case "spash":
-		t := spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: htm.Default()})
-		return func(w *epoch.Worker, k, v uint64) { t.Insert(w, k, v) },
-			func() rebuilder {
-				return spash.New(spash.Config{Mode: spash.ModeBD, Sys: sys, TM: htm.Default()})
-			}, nil
-	case "hash":
-		t := bdhash.New(sys, htm.Default(), records*2, 1)
-		return func(w *epoch.Worker, k, v uint64) { t.Insert(w, k, v) },
-			func() rebuilder {
-				return bdhash.New(sys, htm.Default(), records*2, 1)
-			}, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown structure %q", kind)
-	}
-}
-
-func wordsFor(records int) int {
-	w := records * 24
-	if w < 1<<21 {
-		w = 1 << 21
-	}
-	return w
 }

@@ -1,10 +1,12 @@
 package bdserve
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/wire"
 )
@@ -42,7 +44,7 @@ type pendingAck struct {
 type conn struct {
 	srv  *Server
 	nc   net.Conn
-	sess session
+	sess kv.Handle
 
 	respCh     chan outMsg
 	durCh      chan struct{} // coalescing doorbell from the durable watermark
@@ -123,6 +125,15 @@ func (c *conn) readLoop() {
 		}
 		srv.requests.Add(1)
 		srv.metric(obs.MServeReqs, c.lane, 1)
+		if (m.Type == wire.CmdGet || m.Type == wire.CmdPut || m.Type == wire.CmdDel) && m.Key >= srv.cfg.KeySpace {
+			// Outside the store's key bound: refuse the request but keep
+			// the connection, which is well-formed.
+			c.send(outMsg{m: wire.Msg{
+				Type: wire.RespError, ID: m.ID, Code: wire.ECodeServer,
+				Text: fmt.Sprintf("key %d outside key space %d", m.Key, srv.cfg.KeySpace),
+			}})
+			continue
+		}
 		c.bumpInflight(1)
 		// Sample a request span (deterministic in the request ID). decNS
 		// doubles as the latency origin for the ack histograms, recorded
@@ -172,11 +183,11 @@ func (c *conn) readLoop() {
 			}
 			var ok bool
 			if m.Type == wire.CmdPut {
-				ok = c.sess.Put(m.Key, m.Value)
+				ok = c.sess.Insert(m.Key, m.Value)
 			} else {
-				ok = c.sess.Del(m.Key)
+				ok = c.sess.Remove(m.Key)
 			}
-			ep := c.sess.Epoch()
+			ep := c.sess.LastWriteEpoch()
 			var cmtNS int64
 			if o != nil {
 				cmtNS = o.Now()
@@ -308,7 +319,7 @@ func (c *conn) writeLoop() {
 func (c *conn) drainDurable(w *wire.Writer, appliedDone uint64) bool {
 	srv := c.srv
 	o := srv.cfg.Obs
-	watermark := srv.sys.PersistedEpoch()
+	watermark := srv.st.Sys.PersistedEpoch()
 	// One flush stamp per drain: every op released by this watermark
 	// movement shares the group commit, so its span records the same
 	// epoch-flush instant. Taken after any applied-ack stamps on this

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bdhtm/internal/crashfuzz"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/wire"
 )
@@ -23,7 +24,7 @@ import (
 //     still be an epoch-window cut of the history (crashfuzz checker) —
 //     no torn or reordered survivors.
 func TestGroupCommitDurabilityAcrossCrash(t *testing.T) {
-	for _, structure := range []string{"bdhash", "skiplist"} {
+	for _, structure := range kv.Names(kv.IsBuffered) {
 		t.Run(structure, func(t *testing.T) {
 			const keySpace = 1 << 8
 			cfg := Config{Structure: structure, KeySpace: keySpace, Manual: true}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/wire"
 )
@@ -16,7 +17,7 @@ import (
 // its recovery metrics. Runs in CI's race lane.
 func TestRecoverColdStartServes(t *testing.T) {
 	const n = 64
-	for _, structure := range []string{"bdhash", "skiplist"} {
+	for _, structure := range kv.Names(kv.IsBuffered) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", structure, workers), func(t *testing.T) {
 				cfg := Config{

@@ -1,8 +1,8 @@
 // Package bdserve is the networked KV service over the buffered-durable
-// substrate: a TCP server exposing bdhash (or the BDL skiplist) through
-// the internal/wire protocol, with per-connection goroutines running HTM
-// transactions and a group-commit acker that rides the epoch system's
-// durable watermark.
+// substrate: a TCP server exposing any buffered-durable structure of the
+// internal/kv registry through the internal/wire protocol, with
+// per-connection goroutines running HTM transactions and a group-commit
+// acker that rides the epoch system's durable watermark.
 //
 // The ack state machine is the service-level face of buffered
 // durability. A write op (PUT/DEL) commits its HTM transaction at memory
@@ -33,20 +33,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/bdhash"
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/wire"
 )
 
 // Config shapes one server instance.
 type Config struct {
-	// Structure selects the store: "bdhash" (default) or "skiplist".
+	// Structure selects the store: any buffered kv descriptor (default
+	// "bdhash").
 	Structure string
-	// KeySpace sizes the structure (and bounds Dump sweeps).
+	// KeySpace sizes the structure and bounds the keys it serves:
+	// requests for keys at or above it get an error frame.
 	KeySpace uint64
 	// HeapWords sizes the simulated NVM heap (default derived from
 	// KeySpace, 32 words per key, min 1<<16).
@@ -92,8 +93,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) epochCfg() epoch.Config {
-	return epoch.Config{
+// env is the kv environment the store is opened (and recovered) in.
+func (c Config) env() kv.Env {
+	return kv.Env{
+		KeySpace:  c.KeySpace,
+		HeapWords: c.HeapWords,
+		// Every session holds a handle; the headroom covers Dump's.
+		Workers:         c.MaxSessions + 8,
 		EpochLength:     c.EpochLength,
 		Manual:          c.Manual,
 		Shards:          c.Shards,
@@ -101,67 +107,17 @@ func (c Config) epochCfg() epoch.Config {
 		Engine:          c.Engine,
 		RecoveryWorkers: c.RecoveryWorkers,
 		Obs:             c.Obs,
-		MaxWorkers:      c.MaxSessions + 8,
 	}
 }
 
-// session is one connection's handle onto the store: a private epoch
-// worker, so HTM transactions from different connections proceed
-// concurrently. Epoch returns the exact commit epoch of the session's
-// last completed write. SetSpan brackets one request with its sampled
-// span (nil detaches), routed down to the worker so every HTM attempt
-// the op makes is counted on the span.
-type session interface {
-	Put(k, v uint64) bool
-	Del(k uint64) bool
-	Get(k uint64) (uint64, bool)
-	Epoch() uint64
-	SetSpan(sp *obs.Span)
+// desc is the buffered kv descriptor c.Structure names.
+func (c Config) desc() *kv.Desc {
+	d, err := kv.Lookup(c.Structure)
+	if err != nil || !kv.IsBuffered(d) {
+		panic(fmt.Sprintf("bdserve: unknown structure %q", c.Structure))
+	}
+	return d
 }
-
-// store is the structure behind the sessions plus its recovery hooks.
-type store interface {
-	NewSession() session
-	Rebuild(r epoch.BlockRecord)
-}
-
-// --- bdhash store ---
-
-type hashStore struct {
-	tab *bdhash.Table
-	sys *epoch.System
-}
-
-type hashSession struct {
-	s *hashStore
-	w *epoch.Worker
-}
-
-func (s *hashStore) NewSession() session           { return &hashSession{s: s, w: s.sys.Register()} }
-func (s *hashStore) Rebuild(r epoch.BlockRecord)   { s.tab.RebuildBlock(r) }
-func (h *hashSession) Put(k, v uint64) bool        { return h.s.tab.Insert(h.w, k, v) }
-func (h *hashSession) Del(k uint64) bool           { return h.s.tab.Remove(h.w, k) }
-func (h *hashSession) Get(k uint64) (uint64, bool) { return h.s.tab.GetW(h.w, k) }
-func (h *hashSession) Epoch() uint64               { return h.w.OpEpoch() }
-func (h *hashSession) SetSpan(sp *obs.Span)        { h.w.SetSpan(sp) }
-
-// --- skiplist store ---
-
-type listStore struct {
-	list *skiplist.List
-}
-
-type listSession struct {
-	h *skiplist.Handle
-}
-
-func (s *listStore) NewSession() session           { return &listSession{h: s.list.NewHandle()} }
-func (s *listStore) Rebuild(r epoch.BlockRecord)   { s.list.RebuildBlock(r) }
-func (h *listSession) Put(k, v uint64) bool        { return h.h.Insert(k, v) }
-func (h *listSession) Del(k uint64) bool           { return h.h.Remove(k) }
-func (h *listSession) Get(k uint64) (uint64, bool) { return h.h.Get(k) }
-func (h *listSession) Epoch() uint64               { return h.h.Worker().OpEpoch() }
-func (h *listSession) SetSpan(sp *obs.Span)        { h.h.SetSpan(sp) }
 
 // Counters is a point-in-time snapshot of the server's service-layer
 // accounting, for tests and the stats endpoint.
@@ -197,25 +153,22 @@ type RecoveryInfo struct {
 // Server is one bdserve instance.
 type Server struct {
 	cfg      Config
-	heap     *nvm.Heap
-	sys      *epoch.System
-	tm       *htm.TM
-	st       store
+	st       *kv.Store
 	recovery RecoveryInfo
 
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*conn]struct{}
-	sessions []session // free pool; sessions outlive connections
+	sessions []kv.Handle // free pool; sessions outlive connections
 	nSess    int
 	closed   bool
 
 	// dumpMu/dumpSess: lazily created fallback session for Dump when the
 	// pool is drained and nSess is at MaxSessions, so Dump never blocks
 	// on (or races with) connection sessions. One extra worker, outside
-	// the MaxSessions budget (epochCfg reserves headroom for it).
+	// the MaxSessions budget (env reserves headroom for it).
 	dumpMu   sync.Mutex
-	dumpSess session
+	dumpSess kv.Handle
 
 	wg        sync.WaitGroup
 	notifyCh  chan uint64
@@ -237,9 +190,7 @@ type Server struct {
 // Serve or Start).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	heap := nvm.New(nvm.Config{Words: cfg.HeapWords})
-	sys := epoch.New(heap, cfg.epochCfg())
-	return build(cfg, heap, sys, nil)
+	return start(cfg, cfg.desc().Open(cfg.env()))
 }
 
 // Recover brings a server back up on a crashed heap: the epoch system
@@ -248,52 +199,30 @@ func New(cfg Config) *Server {
 // server with a compatible Config (same Engine).
 func Recover(heap *nvm.Heap, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	recs := []epoch.BlockRecord{} // non-nil: build records RecoveryInfo even for an empty heap
-	sys := epoch.Recover(heap, cfg.epochCfg(), func(r epoch.BlockRecord) {
-		recs = append(recs, r)
-	})
-	return build(cfg, heap, sys, recs)
+	st, err := cfg.desc().Recover(cfg.env(), heap)
+	if err != nil {
+		panic(err)
+	}
+	s := start(cfg, st)
+	es := st.Sys.Stats()
+	s.recovery = RecoveryInfo{
+		Workers:     es.RecoveryWorkers,
+		ScanNS:      es.RecoveryScanNS,
+		RebuildNS:   es.RecoveryRebuildNS + st.RebuildNS,
+		Blocks:      es.RecoveredLive,
+		Resurrected: es.Resurrected,
+	}
+	return s
 }
 
-func build(cfg Config, heap *nvm.Heap, sys *epoch.System, recs []epoch.BlockRecord) *Server {
+func start(cfg Config, st *kv.Store) *Server {
 	s := &Server{
 		cfg:      cfg,
-		heap:     heap,
-		sys:      sys,
-		tm:       htm.New(htm.Config{}),
+		st:       st,
 		conns:    map[*conn]struct{}{},
 		notifyCh: make(chan uint64, 1),
 	}
-	switch cfg.Structure {
-	case "bdhash":
-		s.st = &hashStore{tab: bdhash.New(sys, s.tm, int(cfg.KeySpace), 1), sys: sys}
-	case "skiplist":
-		dram := nvm.New(nvm.Config{Words: cfg.HeapWords, Mode: nvm.ModeDRAM})
-		s.st = &listStore{list: skiplist.New(skiplist.Config{
-			Variant:   skiplist.BDL,
-			IndexHeap: dram,
-			DataSys:   sys,
-			TM:        s.tm,
-			Threads:   cfg.MaxSessions + 8,
-		})}
-	default:
-		panic(fmt.Sprintf("bdserve: unknown structure %q", cfg.Structure))
-	}
-	if recs != nil {
-		rebuildStart := time.Now()
-		for _, r := range recs {
-			s.st.Rebuild(r)
-		}
-		st := sys.Stats()
-		s.recovery = RecoveryInfo{
-			Workers:     st.RecoveryWorkers,
-			ScanNS:      st.RecoveryScanNS,
-			RebuildNS:   st.RecoveryRebuildNS + time.Since(rebuildStart).Nanoseconds(),
-			Blocks:      st.RecoveredLive,
-			Resurrected: st.Resurrected,
-		}
-	}
-	s.cancelSub = sys.SubscribeDurable(s.notifyCh)
+	s.cancelSub = st.Sys.SubscribeDurable(s.notifyCh)
 	s.wg.Add(1)
 	go s.notifyLoop()
 	return s
@@ -314,14 +243,14 @@ func (s *Server) notifyLoop() {
 }
 
 // TMStats snapshots the server's HTM commit/abort counters.
-func (s *Server) TMStats() htm.StatsSnapshot { return s.tm.Stats() }
+func (s *Server) TMStats() htm.StatsSnapshot { return s.st.TM.Stats() }
 
 // System exposes the epoch system (tests drive AdvanceOnce in Manual
 // mode and read the watermark).
-func (s *Server) System() *epoch.System { return s.sys }
+func (s *Server) System() *epoch.System { return s.st.Sys }
 
 // Heap exposes the NVM heap (crash tests hand it to Recover).
-func (s *Server) Heap() *nvm.Heap { return s.heap }
+func (s *Server) Heap() *nvm.Heap { return s.st.Heap }
 
 // Recovery reports the cold-start scan/rebuild summary; zero value if the
 // server was built with New rather than Recover.
@@ -379,16 +308,16 @@ func (s *Server) oldestUnackedNS() int64 {
 // opcode: service counters, epoch/flusher state, and the HTM abort
 // breakdown, cheap enough for dashboard polling.
 func (s *Server) wireStats() wire.StatsSnap {
-	es := s.sys.Stats()
-	ts := s.tm.Stats()
+	es := s.st.Sys.Stats()
+	ts := s.st.TM.Stats()
 	sampled, dropped := s.cfg.Obs.SpanCounts()
 	var depth int64
 	if s.cfg.Obs != nil {
 		depth = s.cfg.Obs.Gauge(obs.GFlusherDepth)
 	}
 	return wire.StatsSnap{
-		GlobalEpoch:     s.sys.GlobalEpoch(),
-		PersistedEpoch:  s.sys.PersistedEpoch(),
+		GlobalEpoch:     s.st.Sys.GlobalEpoch(),
+		PersistedEpoch:  s.st.Sys.PersistedEpoch(),
 		Advances:        uint64(es.Advances),
 		Backpressure:    uint64(es.Backpressure),
 		FlusherDepth:    uint64(depth),
@@ -414,8 +343,9 @@ func (s *Server) wireStats() wire.StatsSnap {
 	}
 }
 
-// Dump reads the store back through Get over [0, keyspace), the
-// post-recovery state the crashfuzz window checker consumes.
+// Dump reads the store back through Get over [0, keyspace) within the
+// served key space, the post-recovery state the crashfuzz window checker
+// consumes.
 func (s *Server) Dump(keyspace uint64) map[uint64]uint64 {
 	if sess := s.takeSession(); sess != nil {
 		defer s.putSession(sess)
@@ -426,14 +356,14 @@ func (s *Server) Dump(keyspace uint64) map[uint64]uint64 {
 	s.dumpMu.Lock()
 	defer s.dumpMu.Unlock()
 	if s.dumpSess == nil {
-		s.dumpSess = s.st.NewSession()
+		s.dumpSess = s.st.NewHandle()
 	}
 	return s.dumpWith(s.dumpSess, keyspace)
 }
 
-func (s *Server) dumpWith(sess session, keyspace uint64) map[uint64]uint64 {
+func (s *Server) dumpWith(sess kv.Handle, keyspace uint64) map[uint64]uint64 {
 	m := make(map[uint64]uint64)
-	for k := uint64(0); k < keyspace; k++ {
+	for k := uint64(0); k < min(keyspace, s.cfg.KeySpace); k++ {
 		if v, ok := sess.Get(k); ok {
 			m[k] = v
 		}
@@ -520,13 +450,13 @@ func (s *Server) startConn(nc net.Conn) {
 	go c.writeLoop()
 }
 
-func (s *Server) takeSession() session {
+func (s *Server) takeSession() kv.Handle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.takeSessionLocked()
 }
 
-func (s *Server) takeSessionLocked() session {
+func (s *Server) takeSessionLocked() kv.Handle {
 	if n := len(s.sessions); n > 0 {
 		sess := s.sessions[n-1]
 		s.sessions = s.sessions[:n-1]
@@ -536,10 +466,10 @@ func (s *Server) takeSessionLocked() session {
 		return nil
 	}
 	s.nSess++
-	return s.st.NewSession()
+	return s.st.NewHandle()
 }
 
-func (s *Server) putSession(sess session) {
+func (s *Server) putSession(sess kv.Handle) {
 	s.mu.Lock()
 	s.sessions = append(s.sessions, sess)
 	s.mu.Unlock()
@@ -589,7 +519,7 @@ func (s *Server) dropConn(c *conn) {
 // advances).
 func (s *Server) Close() {
 	s.shutdownNet()
-	s.sys.Stop()
+	s.st.Close()
 }
 
 // Crash simulates a power failure: network torn down, then the epoch
@@ -597,7 +527,7 @@ func (s *Server) Close() {
 // Recover(srv.Heap(), cfg) brings the survivors back.
 func (s *Server) Crash(opts nvm.CrashOptions) {
 	s.shutdownNet()
-	s.sys.SimulateCrash(opts)
+	s.st.Crash(opts)
 }
 
 func (s *Server) shutdownNet() {

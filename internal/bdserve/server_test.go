@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"bdhtm/internal/kv"
+	"bdhtm/internal/obs"
 	"bdhtm/internal/wire"
 )
 
@@ -97,7 +99,7 @@ func expectAcks(t *testing.T, c *tclient, id uint64) (epoch uint64) {
 }
 
 func TestBasicOps(t *testing.T) {
-	for _, structure := range []string{"bdhash", "skiplist"} {
+	for _, structure := range kv.Names(kv.IsBuffered) {
 		t.Run(structure, func(t *testing.T) {
 			_, addr := startServer(t, Config{
 				Structure:   structure,
@@ -351,5 +353,87 @@ func TestSyncMode(t *testing.T) {
 	}
 	if st := srv.Stats(); st.AppliedAcks != 0 || st.DurableAcks != 1 {
 		t.Fatalf("sync-mode ack counters: %+v", st)
+	}
+}
+
+// TestRecorderSeesEveryLayer: the recorder a server is configured with
+// must reach its TM, heap and structure, so /metrics and bdtop agree with
+// the STATS opcode's direct reads. Before the fix the TM and heap were
+// built without it: the attempt histograms stayed empty while the TM
+// counted commits, and no flush or fence was ever recorded.
+func TestRecorderSeesEveryLayer(t *testing.T) {
+	rec := obs.New("recorder-wiring")
+	srv, addr := startServer(t, Config{KeySpace: 1 << 10, Manual: true, Obs: rec})
+	c := dial(t, addr)
+	for i := uint64(1); i <= 20; i++ {
+		c.send(wire.Msg{Type: wire.CmdPut, ID: i, Key: i, Value: i * 3})
+		if m := c.recv(); m.Type != wire.RespApplied {
+			t.Fatalf("want applied ack, got %+v", m)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		srv.System().AdvanceOnce()
+	}
+	for i := 0; i < 20; i++ {
+		if m := c.recv(); m.Type != wire.RespDurable {
+			t.Fatalf("want durable ack, got %+v", m)
+		}
+	}
+
+	var attempts int64
+	for o := obs.Outcome(0); o < obs.NumOutcomes; o++ {
+		attempts += rec.AttemptHist(o).Count
+	}
+	if want := srv.TMStats().Attempts(); attempts != want || want == 0 {
+		t.Errorf("recorder attempts = %d, TM attempts = %d", attempts, want)
+	}
+	if got := rec.OpHist(obs.OpInsert).Count; got != 20 {
+		t.Errorf("recorder inserts = %d, want 20", got)
+	}
+	hs := srv.Heap().Stats()
+	if rec.Metric(obs.MFlushes) == 0 || rec.Metric(obs.MFences) == 0 {
+		t.Errorf("recorder flushes = %d, fences = %d after advances; want > 0",
+			rec.Metric(obs.MFlushes), rec.Metric(obs.MFences))
+	}
+	if rec.Metric(obs.MFlushes) != hs.Flushes || rec.Metric(obs.MFences) != hs.Fences {
+		t.Errorf("recorder flushes/fences %d/%d != heap stats %d/%d",
+			rec.Metric(obs.MFlushes), rec.Metric(obs.MFences), hs.Flushes, hs.Fences)
+	}
+}
+
+// TestOutOfRangeKeys: keys at or above KeySpace are outside the store's
+// key bound. Each such request gets an error frame and the connection
+// stays usable. Before the fix, distinct out-of-range PUTs filled
+// bdhash's probe window and panicked the whole process.
+func TestOutOfRangeKeys(t *testing.T) {
+	const keySpace = 256
+	srv, addr := startServer(t, Config{KeySpace: keySpace, EpochLength: time.Millisecond})
+	c := dial(t, addr)
+	id := uint64(0)
+	refused := func(m wire.Msg) {
+		t.Helper()
+		id++
+		m.ID = id
+		c.send(m)
+		if r := c.recv(); r.Type != wire.RespError || r.Code != wire.ECodeServer || r.ID != id {
+			t.Fatalf("%s key %d: want a server error frame for id %d, got %+v", m.Type, m.Key, id, r)
+		}
+	}
+	for k := uint64(keySpace); k < keySpace+1000; k++ {
+		refused(wire.Msg{Type: wire.CmdPut, Key: k, Value: k})
+	}
+	refused(wire.Msg{Type: wire.CmdGet, Key: keySpace})
+	refused(wire.Msg{Type: wire.CmdDel, Key: 1 << 63})
+
+	id++
+	c.send(wire.Msg{Type: wire.CmdPut, ID: id, Key: keySpace - 1, Value: 77})
+	expectAcks(t, c, id)
+	id++
+	c.send(wire.Msg{Type: wire.CmdGet, ID: id, Key: keySpace - 1})
+	if m := c.recv(); m.Type != wire.RespValue || !m.Found || m.Value != 77 {
+		t.Fatalf("in-range get after refusals: %+v", m)
+	}
+	if st := srv.Stats(); st.WriteCommits != 1 || st.ProtoErrors != 0 {
+		t.Fatalf("refused requests reached the store: %+v", st)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bdhtm/internal/durability"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -18,6 +19,11 @@ import (
 // DefaultHeapWords sizes fuzzing heaps: small enough that rounds are fast,
 // large enough that slab formatting and directory growth are exercised.
 const DefaultHeapWords = 1 << 16
+
+// DefaultKeySpace sizes fuzzed structures (bdhash's capacity, the vEB
+// universe): it covers every derived key space while keeping collisions
+// dense.
+const DefaultKeySpace = 1 << 10
 
 // RoundParams describes one fuzz round. Zero/negative fields marked
 // "derive" are filled deterministically from Seed by Resolve, in a fixed
@@ -361,7 +367,7 @@ type pendingOp struct {
 type session struct {
 	p        RoundParams
 	sub      Subject
-	h        Handle
+	h        kv.Handle
 	buffered bool
 	model    map[uint64]uint64
 	snaps    map[uint64]map[uint64]uint64
@@ -371,21 +377,29 @@ type session struct {
 	obs      *obs.Recorder
 }
 
-func newSession(p RoundParams, sub Subject, rec *obs.Recorder) *session {
-	s := &session{p: p, sub: sub, buffered: sub.Durability() == Buffered, obs: rec}
-	sub.Init(Env{
-		Seed:            p.Seed,
+// roundEnv is the environment a round's subject is built in; every
+// random decision derives from the round's seed.
+func roundEnv(p RoundParams, workers int, rec *obs.Recorder) kv.Env {
+	return kv.Env{
+		KeySpace:        DefaultKeySpace,
 		HeapWords:       DefaultHeapWords,
-		Workers:         1,
+		Workers:         workers,
+		Seed:            p.Seed,
 		SpuriousRate:    p.Spurious,
 		MemTypeRate:     p.MemType,
+		GlobalFallback:  p.FGL == 0,
+		Manual:          true,
 		Shards:          p.Shards,
 		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
-		GlobalFallback:  p.FGL == 0,
-		Obs:             s.obs,
-	})
+		Obs:             rec,
+	}
+}
+
+func newSession(p RoundParams, sub Subject, rec *obs.Recorder) *session {
+	s := &session{p: p, sub: sub, buffered: sub.Durability() == kv.Buffered, obs: rec}
+	sub.Init(roundEnv(p, 1, rec))
 	s.h = sub.Handle(0)
 	s.model = map[uint64]uint64{}
 	s.resetSnaps(s.sub.GlobalEpoch())
@@ -642,20 +656,8 @@ func runSingle(p RoundParams, sub Subject, rec *obs.Recorder) *Failure {
 // recovered state is checked against the linearizability window (see
 // checker.go).
 func runConcurrent(p RoundParams, sub Subject, rec *obs.Recorder) *Failure {
-	buffered := sub.Durability() == Buffered
-	sub.Init(Env{
-		Seed:            p.Seed,
-		HeapWords:       DefaultHeapWords,
-		Workers:         p.Workers,
-		SpuriousRate:    p.Spurious,
-		MemTypeRate:     p.MemType,
-		Shards:          p.Shards,
-		Async:           p.Async == 1,
-		Engine:          p.Engine,
-		RecoveryWorkers: p.RWorkers,
-		GlobalFallback:  p.FGL == 0,
-		Obs:             rec,
-	})
+	buffered := sub.Durability() == kv.Buffered
+	sub.Init(roundEnv(p, p.Workers, rec))
 	fail := func(err error) *Failure { return &Failure{Params: p, Msg: subjectMsg(sub.Name(), err)} }
 
 	var opSeq atomic.Uint64 // unique insert values across the whole round

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bdhtm/internal/durability"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -74,10 +75,12 @@ func runParallelCell(t *testing.T, subject, engine string, workers int) parallel
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Init(Env{
+	sub.Init(kv.Env{
 		Seed:            0x9a7a11e1,
+		KeySpace:        DefaultKeySpace,
 		HeapWords:       DefaultHeapWords,
 		Workers:         1,
+		Manual:          true,
 		Engine:          engine,
 		RecoveryWorkers: workers,
 		Obs:             rec,

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 )
 
@@ -19,10 +20,12 @@ func buildResurrectionScenario(t *testing.T) Subject {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Init(Env{
+	sub.Init(kv.Env{
 		Seed:            0xc4a5,
+		KeySpace:        DefaultKeySpace,
 		HeapWords:       DefaultHeapWords,
 		Workers:         1,
+		Manual:          true,
 		RecoveryWorkers: 2,
 	})
 	h := sub.Handle(0)

@@ -7,143 +7,23 @@ import (
 	"strconv"
 
 	"bdhtm/internal/epoch"
-	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
-	"bdhtm/internal/obs"
 )
-
-// Durability classifies what a subject promises across a crash.
-type Durability int
-
-const (
-	// Buffered subjects (BDL structures on the epoch system) recover the
-	// state at the end of some persisted epoch P >= crash_epoch - 2.
-	Buffered Durability = iota
-	// Strict subjects (CCEH, LB+Tree, palloc) make every completed
-	// operation durable before returning; recovery must reproduce all of
-	// them, with at most the single in-flight operation ambiguous.
-	Strict
-)
-
-func (d Durability) String() string {
-	if d == Strict {
-		return "strict"
-	}
-	return "buffered"
-}
-
-// Env configures one subject instance for one fuzz round. Every random
-// decision a subject makes must derive from Seed so that rounds replay.
-type Env struct {
-	// Seed drives the heap eviction RNG and the HTM abort-injection RNG.
-	Seed uint64
-	// HeapWords sizes each simulated heap.
-	HeapWords int
-	// Workers is the number of concurrent handles the round will use.
-	Workers int
-	// CacheLines bounds the simulated cache (0 = unbounded); a bounded
-	// cache adds seeded background evictions mid-run.
-	CacheLines int
-	// SpuriousRate / MemTypeRate inject HTM abort churn.
-	SpuriousRate float64
-	MemTypeRate  float64
-	// Shards / Async shape the epoch system's persistence path for
-	// buffered subjects: the flusher shard count and whether advances run
-	// the previous epoch's flush pipelined (epoch.Config.Shards / Async).
-	Shards int
-	Async  bool
-	// Engine names the durability engine buffered subjects close epochs
-	// with (epoch.Config.Engine; "" = the default BDL engine).
-	Engine string
-	// RecoveryWorkers partitions the recovery header scan across this
-	// many goroutines (epoch.Config.RecoveryWorkers; 0/1 = serial). The
-	// palloc subject threads it into palloc.Allocator.RecoverParallel
-	// directly.
-	RecoveryWorkers int
-	// GlobalFallback selects the legacy single-word fallback lock
-	// (htm.Config.GlobalFallback) instead of the default fine-grained
-	// hybrid slow path, so both fallback disciplines get fuzzed.
-	GlobalFallback bool
-	// OnAdvance is forwarded to epoch.Config.OnAdvance for buffered
-	// subjects; the engine snapshots its model there.
-	OnAdvance func(persisted uint64)
-	// Obs, when non-nil, is attached to every component the subject
-	// builds (TM, heaps, epoch system). The engine installs one per round
-	// with an active tracer, so every fuzzed schedule also exercises the
-	// telemetry hooks across crash and recovery.
-	Obs *obs.Recorder
-}
-
-// epochCfg is the epoch.Config every buffered subject opens (and
-// recovers) its system with.
-func (e Env) epochCfg() epoch.Config {
-	return epoch.Config{
-		Manual:          true,
-		Shards:          e.Shards,
-		Async:           e.Async,
-		Engine:          e.Engine,
-		RecoveryWorkers: e.RecoveryWorkers,
-		OnAdvance:       e.OnAdvance,
-		Obs:             e.Obs,
-	}
-}
-
-// TM builds the round's transactional memory from the env's injection
-// settings, seeded for replayable abort streams.
-func (e Env) TM() *htm.TM {
-	tm := htm.New(htm.Config{
-		Seed:                e.Seed ^ 0x7fb5d329728ea185,
-		SpuriousRate:        e.SpuriousRate,
-		MemTypeRate:         e.MemTypeRate,
-		PreWalkResidualRate: e.MemTypeRate / 10,
-		GlobalFallback:      e.GlobalFallback,
-	})
-	tm.SetObs(e.Obs)
-	return tm
-}
-
-// NVMHeap builds the round's persistent heap.
-func (e Env) NVMHeap() *nvm.Heap {
-	h := nvm.New(nvm.Config{Words: e.HeapWords, Seed: e.Seed ^ 0x9e3779b97f4a7c15, CacheLines: e.CacheLines})
-	h.SetObs(e.Obs)
-	return h
-}
-
-// DRAMHeap builds a transient heap (BDL index side).
-func (e Env) DRAMHeap() *nvm.Heap {
-	return nvm.New(nvm.Config{Words: e.HeapWords, Mode: nvm.ModeDRAM})
-}
-
-// Handle is a per-goroutine session on a subject. Implementations wrap
-// the structure's own per-thread handle (epoch worker, skiplist handle).
-// The contract matches every structure in the repo: Insert is an upsert
-// reporting whether an existing value was replaced; Remove reports
-// whether the key was present.
-type Handle interface {
-	Insert(k, v uint64) bool
-	Remove(k uint64) bool
-	Get(k uint64) (uint64, bool)
-	// LastWriteEpoch returns the final epoch of the handle's last
-	// completed write (Buffered subjects; 0 for Strict). Exact, not a
-	// bound: restarted operations report the epoch they committed in.
-	LastWriteEpoch() uint64
-}
 
 // Subject adapts one persistent structure to the fuzzer: init / op /
-// crash / recover / dump. Implementations live in subjects.go; every
-// structure the repo ships is registered here.
+// crash / recover / dump. Implementations live in subjects.go: every
+// recoverable kv descriptor, plus the persistent allocator itself.
 type Subject interface {
 	Name() string
-	Durability() Durability
-	// MaxKeySpace caps the key universe the subject supports (the engine
-	// may fuzz a smaller universe for collision density).
-	MaxKeySpace() uint64
-	// Init builds a fresh structure. It must be callable again only via
-	// Recover.
-	Init(env Env)
+	Durability() kv.Durability
+	// Init builds a fresh structure in env, whose Seed must drive every
+	// random decision so that rounds replay. It must be callable again
+	// only via Recover.
+	Init(env kv.Env)
 	// Handle returns per-goroutine session i in [0, env.Workers).
 	// Handles are re-created by Recover.
-	Handle(i int) Handle
+	Handle(i int) kv.Handle
 	// Heap returns the persistent heap (for crash-point hooks).
 	Heap() *nvm.Heap
 	// GlobalEpoch returns the active epoch (Buffered; 0 for Strict).
@@ -157,7 +37,7 @@ type Subject interface {
 	Crash(opts nvm.CrashOptions)
 	// Recover rebuilds the structure and fresh handles from the heap's
 	// persistent image. Structure-level recovery panics (duplicate keys,
-	// probe overflow) are converted to errors by the engine.
+	// probe overflow) are returned as errors.
 	Recover() error
 	// Len returns the structure's key count (cross-checked against the
 	// engine's dump).
@@ -177,8 +57,9 @@ type InvariantChecker interface {
 // RecoveryRecorder is an optional Subject extension exposing the
 // BlockRecords the last Recover delivered to the rebuild callback, in
 // delivery order. The parallel-recovery equivalence matrix compares the
-// record sequence across worker counts; buffered subjects implement it,
-// strict subjects (no epoch rebuild) do not.
+// record sequence across worker counts; kv subjects implement it (strict
+// ones, with no epoch rebuild, deliver none), the allocator subject does
+// not.
 type RecoveryRecorder interface {
 	RecoveryRecords() []epoch.BlockRecord
 }

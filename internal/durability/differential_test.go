@@ -7,6 +7,7 @@ import (
 
 	"bdhtm/internal/crashfuzz"
 	"bdhtm/internal/durability"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 )
 
@@ -58,10 +59,12 @@ func runTrace(t *testing.T, subject, engine string, keySpace uint64) (map[uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Init(crashfuzz.Env{
+	sub.Init(kv.Env{
 		Seed:      0xd1f7,
+		KeySpace:  crashfuzz.DefaultKeySpace,
 		HeapWords: crashfuzz.DefaultHeapWords,
 		Workers:   1,
+		Manual:    true,
 		Engine:    engine,
 	})
 	h := sub.Handle(0)

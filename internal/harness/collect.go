@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"bdhtm/internal/epoch"
+	"bdhtm/internal/htm"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
 )
@@ -81,34 +82,24 @@ func AppendRow(row obs.BenchRow) {
 	c.Report.Append(row)
 }
 
-// Sub returns the interval difference s - prev.
-func (s TMStatsSnapshot) Sub(prev TMStatsSnapshot) TMStatsSnapshot {
-	return TMStatsSnapshot{
-		Commits: s.Commits - prev.Commits, Conflict: s.Conflict - prev.Conflict,
-		Capacity: s.Capacity - prev.Capacity, Explicit: s.Explicit - prev.Explicit,
-		Locked: s.Locked - prev.Locked, Spurious: s.Spurious - prev.Spurious,
-		MemType: s.MemType - prev.MemType, PersistOp: s.PersistOp - prev.PersistOp,
-	}
-}
-
 // statsBaseline captures an instance's absolute counters so a row can
 // report the measured interval only (prefill traffic excluded).
 type statsBaseline struct {
-	tm    TMStatsSnapshot
+	tm    htm.StatsSnapshot
 	nvm   nvm.StatsSnapshot
 	epoch epoch.Stats
 }
 
 func captureBaseline(inst *Instance) statsBaseline {
 	var b statsBaseline
-	if inst.TMStats != nil {
-		b.tm = inst.TMStats()
+	if inst.TM != nil {
+		b.tm = inst.TM.Stats()
 	}
-	if inst.NVMStats != nil {
-		b.nvm = inst.NVMStats()
+	if inst.Heap != nil {
+		b.nvm = inst.Heap.Stats()
 	}
-	if inst.EpochStats != nil {
-		b.epoch = inst.EpochStats()
+	if inst.Sys != nil {
+		b.epoch = inst.Sys.Stats()
 	}
 	return b
 }
@@ -126,8 +117,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 		Mops:       res.Throughput,
 		Latency:    lat,
 	}
-	if inst.TMStats != nil {
-		d := inst.TMStats().Sub(base.tm)
+	if inst.TM != nil {
+		d := inst.TM.Stats().Sub(base.tm)
 		sum := &obs.HTMSummary{
 			Attempts: d.Attempts(),
 			Commits:  d.Commits,
@@ -145,8 +136,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 		}
 		row.HTM = sum
 	}
-	if inst.NVMStats != nil {
-		d := inst.NVMStats().Sub(base.nvm)
+	if inst.Heap != nil {
+		d := inst.Heap.Stats().Sub(base.nvm)
 		row.NVM = &obs.NVMSummary{
 			Flushes:            d.Flushes,
 			Fences:             d.Fences,
@@ -160,8 +151,8 @@ func buildRow(c *Collector, inst *Instance, wl Workload, res Result, base statsB
 			row.NVM.FencesPerOp = float64(d.Fences) / float64(res.Ops)
 		}
 	}
-	if inst.EpochStats != nil {
-		e := inst.EpochStats()
+	if inst.Sys != nil {
+		e := inst.Sys.Stats()
 		sum := &obs.EpochSummary{
 			Advances:      e.Advances - base.epoch.Advances,
 			FlushedBlocks: e.FlushedBlocks - base.epoch.FlushedBlocks,

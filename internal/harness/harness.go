@@ -1,6 +1,6 @@
 // Package harness drives the experiments of the paper's evaluation
-// section: it wraps every data structure behind a uniform per-thread Map
-// interface, generates YCSB-style workloads, measures throughput across
+// section: it opens every data structure through the internal/kv
+// registry, generates YCSB-style workloads, measures throughput across
 // thread sweeps, and formats results as the rows/series of each figure
 // and table. Both cmd/bdbench and the repository's bench_test.go build on
 // it.
@@ -15,45 +15,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bdhtm/internal/epoch"
-	"bdhtm/internal/nvm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/obs"
 	"bdhtm/internal/ycsb"
 )
 
-// Map is the uniform per-thread view of a keyed structure under test.
-type Map interface {
-	Insert(k, v uint64) bool
-	Remove(k uint64) bool
-	Get(k uint64) (uint64, bool)
-}
-
-// Instance is one constructed structure plus its observability hooks.
+// Instance is one opened structure under test, titled for reports.
 type Instance struct {
 	Name string
-	// NewHandle returns a goroutine-private Map view.
-	NewHandle func() Map
-	// Close stops background machinery (epoch advancers).
-	Close func()
-
-	// Optional hooks (nil/zero when not applicable).
-	TMStats    func() TMStatsSnapshot   // HTM commit/abort counters (Fig. 2)
-	NVMStats   func() nvm.StatsSnapshot // persist-cost counters (Sec. 5.1)
-	EpochStats func() epoch.Stats       // epoch-system activity
-	DRAMBytes  func() int64             // index memory (Table 3)
-	NVMBytes   func() int64             // NVM footprint (Table 3, Fig. 8)
-	Sync       func()                   // force buffered data durable
+	*kv.Store
 }
 
-// TMStatsSnapshot mirrors htm.StatsSnapshot without importing it here
-// (keeps the harness decoupled from the simulator's types in reports).
-type TMStatsSnapshot struct {
-	Commits, Conflict, Capacity, Explicit, Locked, Spurious, MemType, PersistOp int64
-}
-
-// Attempts is the total number of HTM attempts.
-func (s TMStatsSnapshot) Attempts() int64 {
-	return s.Commits + s.Conflict + s.Capacity + s.Explicit + s.Locked + s.Spurious + s.MemType + s.PersistOp
+// Open builds the described structure for an experiment. The harness
+// drives up to 128 concurrent handles.
+func Open(d *kv.Desc, env kv.Env) *Instance {
+	if env.Workers == 0 {
+		env.Workers = 128
+	}
+	return &Instance{Name: d.Title, Store: d.Open(env)}
 }
 
 // Dist selects the key distribution.
@@ -234,9 +213,7 @@ func Sweep(build func() *Instance, wl Workload, threads []int, dur time.Duration
 		inst := build()
 		s.Name = inst.Name
 		r := Run(inst, wl, n, dur, 42)
-		if inst.Close != nil {
-			inst.Close()
-		}
+		inst.Close()
 		s.Points = append(s.Points, r)
 	}
 	return s

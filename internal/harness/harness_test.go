@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bdhtm/internal/kv"
 	"bdhtm/internal/skiplist"
 	"bdhtm/internal/ycsb"
 )
@@ -12,13 +13,13 @@ import (
 // Every subject must run a small mixed workload without error and retain
 // prefilled data it never removed.
 func TestAllSubjectsSmoke(t *testing.T) {
-	o := Opts{KeySpace: 1 << 10}
-	builders := []func(Opts) *Instance{
-		NewHTMvEB, NewPHTMvEB, NewLBTree, NewOCCTree, NewElimTree,
-		NewSpash, NewBDSpash, NewCCEH, NewPlush, NewBDHash,
+	o := kv.Env{KeySpace: 1 << 10}
+	descs := []*kv.Desc{
+		kv.HTMvEB, kv.VEB, kv.LBTree, kv.OCCTree, kv.ElimTree,
+		kv.SpashEADR, kv.Spash, kv.CCEH, kv.Plush, kv.BDHash,
 	}
-	for _, b := range builders {
-		inst := b(o)
+	for _, d := range descs {
+		inst := Open(d, o)
 		t.Run(inst.Name, func(t *testing.T) {
 			defer inst.Close()
 			wl := Workload{KeySpace: o.KeySpace, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 50}, Prefill: true}
@@ -35,7 +36,7 @@ func TestAllSubjectsSmoke(t *testing.T) {
 
 func TestAllSkiplistVariantsSmoke(t *testing.T) {
 	for _, v := range []skiplist.Variant{skiplist.DL, skiplist.PNoFlush, skiplist.PHTMMwCAS, skiplist.BDL, skiplist.Transient} {
-		inst := NewSkiplist(v, Opts{KeySpace: 1 << 10})
+		inst := Open(kv.SkiplistVariant(v), kv.Env{KeySpace: 1 << 10})
 		t.Run(inst.Name, func(t *testing.T) {
 			defer inst.Close()
 			wl := Workload{KeySpace: 1 << 10, Dist: Zipf99, Mix: ycsb.Mix{ReadPct: 20}, Prefill: true}
@@ -48,7 +49,7 @@ func TestAllSkiplistVariantsSmoke(t *testing.T) {
 }
 
 func TestRunDuration(t *testing.T) {
-	inst := NewHTMvEB(Opts{KeySpace: 1 << 10})
+	inst := Open(kv.HTMvEB, kv.Env{KeySpace: 1 << 10})
 	defer inst.Close()
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
 	r := Run(inst, wl, 1, 50*time.Millisecond, 1)
@@ -62,7 +63,7 @@ func TestRunDuration(t *testing.T) {
 
 func TestSweepAndPrint(t *testing.T) {
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 20}}
-	s := Sweep(func() *Instance { return NewHTMvEB(Opts{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
+	s := Sweep(func() *Instance { return Open(kv.HTMvEB, kv.Env{KeySpace: 1 << 10}) }, wl, []int{1, 2}, 20*time.Millisecond)
 	if len(s.Points) != 2 {
 		t.Fatalf("points = %d", len(s.Points))
 	}
@@ -75,21 +76,21 @@ func TestSweepAndPrint(t *testing.T) {
 }
 
 func TestTMStatsHook(t *testing.T) {
-	inst := NewPHTMvEB(Opts{KeySpace: 1 << 10})
+	inst := Open(kv.VEB, kv.Env{KeySpace: 1 << 10})
 	defer inst.Close()
 	wl := Workload{KeySpace: 1 << 10, Dist: Uniform, Mix: ycsb.Mix{ReadPct: 0}, Prefill: false}
 	RunOps(inst, wl, 1, 500, 5)
-	s := inst.TMStats()
+	s := inst.TM.Stats()
 	if s.Commits == 0 {
 		t.Fatal("no HTM commits recorded")
 	}
 }
 
 func TestSpaceHooks(t *testing.T) {
-	inst := NewPHTMvEB(Opts{KeySpace: 1 << 12})
+	inst := Open(kv.VEB, kv.Env{KeySpace: 1 << 12})
 	defer inst.Close()
 	Prefill(inst, 1<<12)
-	inst.Sync()
+	inst.Sys.Sync()
 	if inst.DRAMBytes() == 0 {
 		t.Fatal("DRAM accounting empty")
 	}

@@ -14,9 +14,9 @@ import (
 	"bdhtm/internal/epoch"
 	"bdhtm/internal/harness"
 	"bdhtm/internal/htm"
+	"bdhtm/internal/kv"
 	"bdhtm/internal/nvm"
 	"bdhtm/internal/obs"
-	"bdhtm/internal/skiplist"
 	"bdhtm/internal/ycsb"
 )
 
@@ -76,7 +76,7 @@ func TestExactFlushCounts(t *testing.T) {
 // every operation.
 func TestEADRNoFlushes(t *testing.T) {
 	rec := obs.New("eadr")
-	inst := harness.NewSpash(harness.Opts{KeySpace: 1 << 10, Obs: rec})
+	inst := harness.Open(kv.SpashEADR, kv.Env{KeySpace: 1 << 10, Obs: rec})
 	defer inst.Close()
 	h := inst.NewHandle()
 	const n = 64
@@ -131,21 +131,21 @@ func TestForcedMemTypeAbort(t *testing.T) {
 // subjectBuilders is every harness structure, built with a fresh recorder
 // attached to all of its components.
 var subjectBuilders = []struct {
-	name  string
-	build func(harness.Opts) *harness.Instance
+	name string
+	desc *kv.Desc
 }{
-	{"HTM-vEB", harness.NewHTMvEB},
-	{"PHTM-vEB", harness.NewPHTMvEB},
-	{"LB+Tree", harness.NewLBTree},
-	{"OCC-abtree", harness.NewOCCTree},
-	{"Elim-abtree", harness.NewElimTree},
-	{"CCEH", harness.NewCCEH},
-	{"Plush", harness.NewPlush},
-	{"Spash", harness.NewSpash},
-	{"BD-Spash", harness.NewBDSpash},
-	{"BD-Hash", harness.NewBDHash},
-	{"DL-Skiplist", func(o harness.Opts) *harness.Instance { return harness.NewSkiplist(skiplist.DL, o) }},
-	{"BDL-Skiplist", func(o harness.Opts) *harness.Instance { return harness.NewSkiplist(skiplist.BDL, o) }},
+	{"HTM-vEB", kv.HTMvEB},
+	{"PHTM-vEB", kv.VEB},
+	{"LB+Tree", kv.LBTree},
+	{"OCC-abtree", kv.OCCTree},
+	{"Elim-abtree", kv.ElimTree},
+	{"CCEH", kv.CCEH},
+	{"Plush", kv.Plush},
+	{"Spash", kv.SpashEADR},
+	{"BD-Spash", kv.Spash},
+	{"BD-Hash", kv.BDHash},
+	{"DL-Skiplist", kv.DLSkiplist},
+	{"BDL-Skiplist", kv.Skiplist},
 }
 
 // TestStructureOpCounts drives every structure through a scripted
@@ -158,7 +158,7 @@ func TestStructureOpCounts(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			rec := obs.New(b.name)
-			inst := b.build(harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
+			inst := harness.Open(b.desc, kv.Env{KeySpace: 1 << 10, Obs: rec, Manual: true})
 			defer inst.Close()
 			h := inst.NewHandle()
 			for k := uint64(0); k < inserts; k++ {
@@ -184,8 +184,8 @@ func TestStructureOpCounts(t *testing.T) {
 			}
 
 			// Attempts == commits + aborts, and obs mirrors the TM exactly.
-			if inst.TMStats != nil {
-				s := inst.TMStats()
+			if inst.TM != nil {
+				s := inst.TM.Stats()
 				if s.Attempts() != s.Commits+s.Conflict+s.Capacity+s.Explicit+s.Locked+s.Spurious+s.MemType+s.PersistOp {
 					t.Errorf("TM attempts %d != commits+aborts", s.Attempts())
 				}
@@ -202,8 +202,8 @@ func TestStructureOpCounts(t *testing.T) {
 			}
 
 			// obs metric counters mirror the heap's stats counters.
-			if inst.NVMStats != nil {
-				s := inst.NVMStats()
+			if inst.Heap != nil {
+				s := inst.Heap.Stats()
 				if got := rec.Metric(obs.MFlushes); got != s.Flushes {
 					t.Errorf("obs flushes %d != heap stats %d", got, s.Flushes)
 				}
@@ -226,15 +226,15 @@ func TestStructureOpCounts(t *testing.T) {
 // every phase of every advance exactly once.
 func TestEpochPhaseAccounting(t *testing.T) {
 	rec := obs.New("epoch")
-	inst := harness.NewPHTMvEB(harness.Opts{KeySpace: 1 << 10, Obs: rec, Manual: true})
+	inst := harness.Open(kv.VEB, kv.Env{KeySpace: 1 << 10, Obs: rec, Manual: true})
 	defer inst.Close()
 	h := inst.NewHandle()
 	for k := uint64(0); k < 200; k++ {
 		h.Insert(k, k)
 	}
-	inst.Sync()
+	inst.Sys.Sync()
 
-	advances := inst.EpochStats().Advances
+	advances := inst.Sys.Stats().Advances
 	if advances == 0 {
 		t.Fatal("Sync performed no advances")
 	}
@@ -263,8 +263,8 @@ func TestPerShardStatsParity(t *testing.T) {
 	for _, b := range subjectBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			rec := obs.New(b.name)
-			inst := b.build(harness.Opts{
-				KeySpace: 1 << 10, Obs: rec, Manual: true, EpochShards: shards,
+			inst := harness.Open(b.desc, kv.Env{
+				KeySpace: 1 << 10, Obs: rec, Manual: true, Shards: shards,
 			})
 			defer inst.Close()
 			h := inst.NewHandle()
@@ -277,11 +277,11 @@ func TestPerShardStatsParity(t *testing.T) {
 			for k := uint64(1); k < 240; k += 4 {
 				h.Remove(k)
 			}
-			if inst.EpochStats == nil {
+			if inst.Sys == nil {
 				return // no persistence path to decompose
 			}
-			inst.Sync()
-			st := inst.EpochStats()
+			inst.Sys.Sync()
+			st := inst.Sys.Stats()
 			if st.Shards != shards {
 				t.Fatalf("epoch system runs %d shards, want %d", st.Shards, shards)
 			}
@@ -437,7 +437,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	defer harness.SetCollector(nil)
 	harness.SetExperiment("unit")
 
-	inst := harness.NewPHTMvEB(harness.Opts{KeySpace: 256, Obs: rec})
+	inst := harness.Open(kv.VEB, kv.Env{KeySpace: 256, Obs: rec})
 	wl := harness.Workload{KeySpace: 256, Mix: ycsb.WriteHeavy, Prefill: true}
 	harness.Run(inst, wl, 2, 20*time.Millisecond, 7)
 	inst.Close()
@@ -504,8 +504,8 @@ func TestIdleRatesAreOne(t *testing.T) {
 
 // runScripted is the shared loop for the overhead benchmarks: a fixed
 // single-threaded op sequence against HTM-vEB.
-func runScripted(b *testing.B, o harness.Opts) {
-	inst := harness.NewHTMvEB(o)
+func runScripted(b *testing.B, o kv.Env) {
+	inst := harness.Open(kv.HTMvEB, o)
 	defer inst.Close()
 	h := inst.NewHandle()
 	b.ResetTimer()
@@ -522,9 +522,9 @@ func runScripted(b *testing.B, o harness.Opts) {
 //
 //	go test ./internal/obs -bench 'Obs(Off|On)' -count 10 | benchstat
 func BenchmarkObsOff(b *testing.B) {
-	runScripted(b, harness.Opts{KeySpace: 1 << 10})
+	runScripted(b, kv.Env{KeySpace: 1 << 10})
 }
 
 func BenchmarkObsOn(b *testing.B) {
-	runScripted(b, harness.Opts{KeySpace: 1 << 10, Obs: obs.New("bench")})
+	runScripted(b, kv.Env{KeySpace: 1 << 10, Obs: obs.New("bench")})
 }
