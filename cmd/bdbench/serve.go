@@ -42,13 +42,16 @@ func serve() {
 		}
 		// Each mode gets its own recorder so the SLO histograms conserve
 		// exactly against this run's ack ledger (the validator enforces
-		// durable_samples == acked_durable per row).
+		// durable_samples == acked_durable per row). -obs prints it
+		// beside the process-wide summary.
 		sloObs := obs.New("bdbench-serve-" + mode)
+		if benchObs != nil {
+			modeObs = append(modeObs, sloObs)
+		}
 		srv := bdserve.New(bdserve.Config{
 			KeySpace:    *keySpace,
 			EpochLength: 2 * time.Millisecond,
 			Shards:      *epochShards,
-			Async:       *asyncAdv,
 			Engine:      *engineFlag,
 			SyncAcks:    sync,
 			Obs:         sloObs,

@@ -45,7 +45,6 @@ var (
 	keySpace    = flag.Uint64("keyspace", 1<<12, "key universe size")
 	epochLength = flag.Duration("epoch-length", 2*time.Millisecond, "epoch advance cadence")
 	epochShards = flag.Int("epoch-shards", 1, "epoch persistence-path shards (power of two, max 32)")
-	asyncAdv    = flag.Bool("async-advance", false, "pipeline epoch advancement")
 	engineFlag  = flag.String("engine", "", "durability engine: "+strings.Join(durability.Names(), "|")+" (default bdl)")
 	syncAcks    = flag.Bool("sync", false, "ack writes only when durable (no applied acks)")
 	maxSessions = flag.Int("max-sessions", 64, "maximum concurrently served connections")
@@ -84,7 +83,6 @@ func main() {
 		KeySpace:    *keySpace,
 		EpochLength: *epochLength,
 		Shards:      *epochShards,
-		Async:       *asyncAdv,
 		Engine:      *engineFlag,
 		SyncAcks:    *syncAcks,
 		MaxSessions: *maxSessions,

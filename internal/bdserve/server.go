@@ -57,10 +57,9 @@ type Config struct {
 	// Manual disables the background advancer; tests drive
 	// System().AdvanceOnce() themselves for deterministic scripts.
 	Manual bool
-	// Shards / Async / Engine configure the persistence pipeline,
-	// forwarded to epoch.Config.
+	// Shards / Engine configure the persistence pipeline, forwarded to
+	// epoch.Config.
 	Shards int
-	Async  bool
 	Engine string
 	// RecoveryWorkers partitions Recover's header scan across this many
 	// goroutines (0/1 = serial; forwarded to epoch.Config).
@@ -103,7 +102,6 @@ func (c Config) env() kv.Env {
 		EpochLength:     c.EpochLength,
 		Manual:          c.Manual,
 		Shards:          c.Shards,
-		Async:           c.Async,
 		Engine:          c.Engine,
 		RecoveryWorkers: c.RecoveryWorkers,
 		Obs:             c.Obs,

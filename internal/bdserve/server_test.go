@@ -356,6 +356,38 @@ func TestSyncMode(t *testing.T) {
 	}
 }
 
+// TestDurableAckAfterOneAdvance: the advance that closes a write's epoch
+// also persists it, so in a Manual server every buffered structure's PUT
+// gets its durable ack after exactly one AdvanceOnce. Under the serial
+// flush-then-publish advance it took two.
+func TestDurableAckAfterOneAdvance(t *testing.T) {
+	for _, structure := range kv.Names(kv.IsBuffered) {
+		t.Run(structure, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Structure: structure, KeySpace: 1 << 10, Manual: true})
+			c := dial(t, addr)
+			for id := uint64(1); id <= 3; id++ {
+				c.send(wire.Msg{Type: wire.CmdPut, ID: id, Key: id, Value: id * 10})
+				m := c.recv()
+				if m.Type != wire.RespApplied || m.ID != id {
+					t.Fatalf("want applied ack for id %d, got %+v", id, m)
+				}
+				if g := srv.System().GlobalEpoch(); m.Epoch != g {
+					t.Fatalf("applied ack epoch %d, want the active epoch %d", m.Epoch, g)
+				}
+				srv.System().AdvanceOnce()
+				c.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+				d, err := c.r.Read()
+				if err != nil {
+					t.Fatalf("id %d: no durable ack after one advance: %v", id, err)
+				}
+				if d.Type != wire.RespDurable || d.ID != id || d.Epoch != m.Epoch {
+					t.Fatalf("id %d: want durable ack for epoch %d, got %+v", id, m.Epoch, d)
+				}
+			}
+		})
+	}
+}
+
 // TestRecorderSeesEveryLayer: the recorder a server is configured with
 // must reach its TM, heap and structure, so /metrics and bdtop agree with
 // the STATS opcode's direct reads. Before the fix the TM and heap were

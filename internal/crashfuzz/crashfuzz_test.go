@@ -82,28 +82,36 @@ func TestResolveDeterminism(t *testing.T) {
 	if c.KeySpace != a.KeySpace || c.Evict != a.Evict || c.Workers != a.Workers ||
 		c.AdvEvery != a.AdvEvery || c.Spurious != a.Spurious || c.MemType != a.MemType ||
 		c.CrashEvents != a.CrashEvents || c.TailAdvances != a.TailAdvances ||
-		c.Shards != a.Shards || c.Async != a.Async || c.FGL != a.FGL {
+		c.Shards != a.Shards || c.Engine != a.Engine || c.FGL != a.FGL {
 		t.Fatalf("overriding Ops shifted other derived fields:\n%+v\n%+v", a, c)
 	}
 }
 
 // TestParseReplayDefaultsPipelineFields ensures replay specs recorded
 // before the sharded advance pipeline existed still parse: shards= and
-// async= are absent, stay at derive defaults, and Resolve fills them.
+// fgl= are absent, stay at derive defaults, and Resolve fills them. Specs
+// recorded with the retired async= field parse to the same round.
 func TestParseReplayDefaultsPipelineFields(t *testing.T) {
-	p, err := ParseReplay("subject=bdhash seed=0x1 ops=16 workers=1 keyspace=32 evict=0.50 events=1 crash-after=4 crash-step=0 tail-adv=0 adv-every=8 spurious=0.00 memtype=0.00")
+	const old = "subject=bdhash seed=0x1 ops=16 workers=1 keyspace=32 evict=0.50 events=1 crash-after=4 crash-step=0 tail-adv=0 adv-every=8 spurious=0.00 memtype=0.00"
+	p, err := ParseReplay(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 0 || p.Async != Derive || p.FGL != Derive {
-		t.Fatalf("old-format spec: Shards = %d (want 0 = derive), Async = %d, FGL = %d (want %d = derive)", p.Shards, p.Async, p.FGL, Derive)
+	if p.Shards != 0 || p.FGL != Derive {
+		t.Fatalf("old-format spec: Shards = %d (want 0 = derive), FGL = %d (want %d = derive)", p.Shards, p.FGL, Derive)
+	}
+	for _, async := range []string{" async=0", " async=1"} {
+		q, err := ParseReplay(old + async)
+		if err != nil {
+			t.Fatalf("spec with%s: %v", async, err)
+		}
+		if q != p {
+			t.Fatalf("spec with%s parsed to %+v, want %+v", async, q, p)
+		}
 	}
 	r := Resolve(p)
 	if r.Shards != 1 && r.Shards != 4 {
 		t.Fatalf("resolved Shards = %d, want 1 or 4", r.Shards)
-	}
-	if r.Async != 0 && r.Async != 1 {
-		t.Fatalf("resolved Async = %d, want 0 or 1", r.Async)
 	}
 	if r.FGL != 0 && r.FGL != 1 {
 		t.Fatalf("resolved FGL = %d, want 0 or 1", r.FGL)
@@ -111,16 +119,13 @@ func TestParseReplayDefaultsPipelineFields(t *testing.T) {
 }
 
 // pipelineConfigs is the persistence-path matrix the deterministic crash
-// tests sweep: every flusher shard count crossed with both advance modes.
+// tests sweep: the serial and the sharded flush fan-out.
 var pipelineConfigs = []struct {
 	name   string
 	shards int
-	async  int
 }{
-	{"shards=1", 1, 0},
-	{"shards=4", 4, 0},
-	{"shards=1+async", 1, 1},
-	{"shards=4+async", 4, 1},
+	{"shards=1", 1},
+	{"shards=4", 4},
 }
 
 // TestCrashMidParallelFlush pins power failures inside the sharded flush
@@ -130,7 +135,7 @@ var pipelineConfigs = []struct {
 // full BDL contract — the recovery boundary P satisfies
 // P >= crash_epoch - 2, the recovered state is exactly the end-of-epoch-P
 // snapshot, and the allocator has one live block per key. Swept over
-// every shards x async configuration so a torn per-shard batch (some
+// both shard widths so a torn per-shard batch (some
 // shards flushed, others not, root unwritten) cannot surface as a
 // phantom or lost key.
 func TestCrashMidParallelFlush(t *testing.T) {
@@ -144,7 +149,7 @@ func TestCrashMidParallelFlush(t *testing.T) {
 						Ops: 48, Workers: 1, KeySpace: 32, Evict: 0.6,
 						CrashEvents: 1, CrashAfter: 12, CrashStep: step,
 						TailAdvances: 1, AdvEvery: 4, Spurious: 0, MemType: 0,
-						Shards: cfg.shards, Async: cfg.async,
+						Shards: cfg.shards,
 					}
 					if f := RunRound(p); f != nil {
 						t.Fatalf("crash-step %d: %s", step, f.Error())
@@ -155,15 +160,14 @@ func TestCrashMidParallelFlush(t *testing.T) {
 	}
 }
 
-// TestAsyncBehindCrash pins the async-advance crash schedule: with the
-// pipelined path on, AdvanceOnce publishes epoch e+1 before epoch e's
-// flush runs, so a power failure inside that flush crashes with
-// global = e+1 while the root still names e-1 — the exact
-// P = crash_epoch - 2 lower bound of the BDL window. The op-boundary
-// variant (CrashStep = 0) crashes after the advance completes instead,
-// hitting the P = crash_epoch - 1 steady state. Both must recover to a
-// snapshotted epoch boundary.
-func TestAsyncBehindCrash(t *testing.T) {
+// TestCrashMidPipelinedFlush pins the pipelined advance's crash
+// schedule: AdvanceOnce publishes epoch e+1 before epoch e's flush runs,
+// so a power failure inside that flush crashes with global = e+1 while
+// the root still names e-1 — the exact P = crash_epoch - 2 lower bound
+// of the BDL window. The op-boundary variant (CrashStep = 0) crashes
+// after the advance completes instead, hitting the P = crash_epoch - 1
+// steady state. Both must recover to a snapshotted epoch boundary.
+func TestCrashMidPipelinedFlush(t *testing.T) {
 	for _, subject := range []string{"bdhash", "veb"} {
 		for _, shards := range []int{1, 4} {
 			subject, shards := subject, shards
@@ -175,7 +179,7 @@ func TestAsyncBehindCrash(t *testing.T) {
 						Ops: 40, Workers: 1, KeySpace: 32, Evict: 1,
 						CrashEvents: 2, CrashAfter: 9, CrashStep: step,
 						TailAdvances: 2, AdvEvery: 3, Spurious: 0, MemType: 0,
-						Shards: shards, Async: 1,
+						Shards: shards,
 					}
 					if f := RunRound(p); f != nil {
 						t.Fatalf("crash-step %d: %s", step, f.Error())

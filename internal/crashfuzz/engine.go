@@ -46,7 +46,6 @@ type RoundParams struct {
 	Spurious     float64 // <0 = derive from {0, 0.01, 0.05}
 	MemType      float64 // <0 = derive from {0, 0.01}
 	Shards       int     // persistence-path flusher shards; 0 = derive from {1, 4}
-	Async        int     // <0 = derive; 0 = serial advance, 1 = pipelined advance
 	Engine       string  // durability engine; "" = derive from durability.Names()
 	RWorkers     int     // recovery scan workers; 0 = derive from {1, 2, 4, 8}
 	FGL          int     // <0 = derive; 1 = fine-grained hybrid fallback, 0 = global fallback lock
@@ -63,8 +62,7 @@ func NewRoundParams(subject string, seed uint64) RoundParams {
 		Subject: subject, Seed: seed,
 		Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
-		Async: Derive, FGL: Derive,
-		Engine: os.Getenv("BDFUZZ_ENGINE"),
+		FGL: Derive, Engine: os.Getenv("BDFUZZ_ENGINE"),
 	}
 }
 
@@ -102,7 +100,7 @@ func Resolve(p RoundParams) RoundParams {
 	// advance path existed derive the same op streams they always did;
 	// the engine draw in turn follows them for the same reason.
 	shardsDraw := rng.next()
-	asyncDraw := rng.next()
+	rng.next() // the retired advance-mode draw; kept so later draws stay put
 	engineDraw := rng.next()
 	rworkersDraw := rng.next()
 	fglDraw := rng.next()
@@ -147,9 +145,6 @@ func Resolve(p RoundParams) RoundParams {
 	if p.Shards == 0 {
 		p.Shards = []int{1, 4}[shardsDraw%2]
 	}
-	if p.Async < 0 {
-		p.Async = int(asyncDraw % 2)
-	}
 	if p.Engine == "" {
 		names := durability.Names()
 		p.Engine = names[engineDraw%uint64(len(names))]
@@ -167,10 +162,10 @@ func Resolve(p RoundParams) RoundParams {
 // bdfuzz -replay flag.
 func (p RoundParams) ReplayString() string {
 	return fmt.Sprintf(
-		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d async=%d engine=%s rworkers=%d fgl=%d",
+		"subject=%s seed=0x%x ops=%d workers=%d keyspace=%d evict=%.2f events=%d crash-after=%d crash-step=%d tail-adv=%d adv-every=%d spurious=%.2f memtype=%.2f shards=%d engine=%s rworkers=%d fgl=%d",
 		p.Subject, p.Seed, p.Ops, p.Workers, p.KeySpace, p.Evict, p.CrashEvents,
 		p.CrashAfter, p.CrashStep, p.TailAdvances, p.AdvEvery, p.Spurious, p.MemType,
-		p.Shards, p.Async, p.Engine, p.RWorkers, p.FGL)
+		p.Shards, p.Engine, p.RWorkers, p.FGL)
 }
 
 // ReplayCommand is the shell command that reproduces one round.
@@ -181,12 +176,14 @@ func (p RoundParams) ReplayCommand() string {
 // ParseReplay decodes a ReplayString back into params. Specs recorded
 // before the sharded advance pipeline, the pluggable engines, the
 // parallel recovery scan, or the fine-grained fallback existed carry no
-// shards=/async=/engine=/rworkers=/fgl= fields; those stay at their
-// derive defaults and Resolve fills them.
+// shards=/engine=/rworkers=/fgl= fields; those stay at their derive
+// defaults and Resolve fills them. Specs recorded while the serial
+// advance still existed carry an async= field; it is accepted and
+// ignored, since every advance is now pipelined.
 func ParseReplay(s string) (RoundParams, error) {
 	p := RoundParams{Evict: Derive, CrashAfter: Derive, CrashStep: Derive,
 		TailAdvances: Derive, AdvEvery: Derive, Spurious: Derive, MemType: Derive,
-		Async: Derive, FGL: Derive}
+		FGL: Derive}
 	for _, field := range strings.Fields(s) {
 		kv := strings.SplitN(field, "=", 2)
 		if len(kv) != 2 {
@@ -226,7 +223,8 @@ func ParseReplay(s string) (RoundParams, error) {
 		case "shards":
 			_, err = fmt.Sscanf(kv[1], "%d", &p.Shards)
 		case "async":
-			_, err = fmt.Sscanf(kv[1], "%d", &p.Async)
+			var ignored int
+			_, err = fmt.Sscanf(kv[1], "%d", &ignored)
 		case "engine":
 			p.Engine = kv[1]
 		case "rworkers":
@@ -390,7 +388,6 @@ func roundEnv(p RoundParams, workers int, rec *obs.Recorder) kv.Env {
 		GlobalFallback:  p.FGL == 0,
 		Manual:          true,
 		Shards:          p.Shards,
-		Async:           p.Async == 1,
 		Engine:          p.Engine,
 		RecoveryWorkers: p.RWorkers,
 		Obs:             rec,

@@ -49,7 +49,7 @@ func TestCrashMidFallbackWrite(t *testing.T) {
 						Ops: 32, Workers: 1, KeySpace: 32, Evict: 1,
 						CrashEvents: 1, CrashAfter: 10, CrashStep: step,
 						TailAdvances: 1, AdvEvery: 5, Spurious: 1, MemType: 0,
-						Shards: 1, Async: 0, FGL: fgl,
+						Shards: 1, FGL: fgl,
 					}
 					rec := roundObs()
 					if f := runRound(p, rec); f != nil {
@@ -85,7 +85,7 @@ func TestConcurrentHybridFallbackRounds(t *testing.T) {
 						Ops: 60, Workers: 4, KeySpace: 16, Evict: 0.8,
 						CrashEvents: 1, CrashAfter: 0, CrashStep: 0,
 						TailAdvances: 1, AdvEvery: 4, Spurious: 0.95, MemType: 0.01,
-						Shards: 1, Async: 0, FGL: fgl,
+						Shards: 1, FGL: fgl,
 					}
 					rec := roundObs()
 					if f := runRound(p, rec); f != nil {

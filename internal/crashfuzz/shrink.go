@@ -90,11 +90,11 @@ func Shrink(f *Failure, logf func(format string, args ...any)) *Failure {
 // ReplayBytes drives a subject from a raw byte stream — the bridge into
 // Go's native fuzzing. The first 8 bytes seed the heap/HTM RNGs; seed
 // bit 4 selects the epoch flusher shard count (set = 4 shards, clear =
-// serial), bit 5 the advance mode (set = pipelined async, clear =
-// sync), bits 6-8 the durability engine (modulo durability.Names()),
+// serial), bits 6-8 the durability engine (modulo durability.Names()),
 // and bits 9-10 the recovery worker count (1 << bits, i.e. {1, 2, 4,
 // 8}), so the fuzzer's inputs exercise every persistence-path and
-// recovery configuration.
+// recovery configuration. Bit 5 is unused: it chose between the serial
+// and the pipelined advance, and every advance is now pipelined.
 // Each following byte decodes to one action on a 32-key universe:
 //
 //	b>>5 == 0,1,7  insert key b&31
@@ -124,9 +124,6 @@ func ReplayBytes(subject string, data []byte) *Failure {
 	}
 	if p.Seed&(1<<4) != 0 {
 		p.Shards = 4
-	}
-	if p.Seed&(1<<5) != 0 {
-		p.Async = 1
 	}
 	names := durability.Names()
 	p.Engine = names[(p.Seed>>6)&7%uint64(len(names))]

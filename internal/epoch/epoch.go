@@ -4,16 +4,19 @@
 //
 // The design extends Montage (Wen et al., ICPP'21). A background advancer
 // increments a global epoch clock every few milliseconds, dividing
-// execution into epochs. At any instant,
+// execution into epochs. Each advance is pipelined: it publishes e+1
+// first and then persists the epoch that just closed. At any instant,
 //
 //   - epoch e (the value of the global clock) is *active*: new operations
 //     begin here;
-//   - epoch e-1 is *in-flight*: operations that began there may finish,
-//     but no new ones start;
-//   - epochs ≤ e-2 are *valid*: their updates have fully persisted.
+//   - epoch e-1 is *in-flight* only while the advance that opened e runs:
+//     operations that began there may finish, but no new ones start, and
+//     the advance persists e-1 once they drain;
+//   - epochs ≤ e-1 are *valid* between advances, and epochs ≤ e-2 always:
+//     their updates have fully persisted.
 //
 // NVM writes performed during an epoch are tracked in per-worker buffers
-// and flushed in the background when the epoch closes, never on the
+// and flushed by the advancer when the epoch closes, never on the
 // operation's critical path and never inside a hardware transaction — this
 // removes the flush/HTM incompatibility entirely. A crash during epoch e
 // recovers the structure to its state at the end of an epoch ≥ e-2.
@@ -52,12 +55,13 @@ const (
 	rootMagic = 0xbd17eb0c0ffee001
 )
 
-// firstEpoch is the epoch in which a fresh system starts. It leaves room
-// below it so that "persisted = firstEpoch-2" is representable.
+// firstEpoch is the epoch in which a fresh system starts; it is formatted
+// with watermark firstEpoch-1, so the first advance persists firstEpoch.
 const firstEpoch = 2
 
 // numSlots is the depth of the per-worker buffer ring. Buffers for epoch x
-// are drained before epoch x+2 ends, so 8 slots give a wide safety margin.
+// are drained by the advance that closes x, before epoch x+1 ends, so 8
+// slots give a wide safety margin.
 const numSlots = 8
 
 // OldSeeNewCode is the conventional HTM explicit-abort code structures use
@@ -88,18 +92,6 @@ type Config struct {
 	// and clamped to [1, 32] (obs.NumShards) so a shard index is also an
 	// exact obs counter lane. Default 1 — the serial path.
 	Shards int
-	// Async pipelines advancement: instead of flushing the closing epoch
-	// inside AdvanceOnce, the advance publishes the new active epoch
-	// immediately and the flush of epoch E-1 overlaps execution of epoch
-	// E. With a background advancer a doorbell wakes a dedicated flusher
-	// goroutine; an advance that arrives while the previous flush is
-	// still in flight blocks until it lands (backpressure), so at most
-	// two epochs are ever unflushed and the recovery window
-	// P >= crash_epoch - 2 is preserved. In Manual mode there is no
-	// flusher goroutine and the pipelined flush runs inline right after
-	// the epoch is published — deterministically modeling a flusher that
-	// caught up before the next advance.
-	Async bool
 	// RecoveryWorkers is the number of goroutines Recover partitions the
 	// slab header scan across (Sec. 5.2's judgment is independent per
 	// block, so the scan parallelizes by slab range). 0 or 1 selects the
@@ -123,7 +115,7 @@ type Config struct {
 	// Obs, when non-nil, receives the epoch-advance phase timeline
 	// (quiesce/flush/root/reclaim durations plus per-shard fan-out
 	// timings), advance events, per-shard block-lifecycle counters, the
-	// flusher queue-depth gauge, and the allocator's alloc/free events.
+	// flusher-depth gauge, and the allocator's alloc/free events.
 	// It does not reach the heap: attach a recorder there separately
 	// (nvm.Heap.SetObs) if persist events are wanted too.
 	Obs *obs.Recorder
@@ -172,8 +164,7 @@ type Stats struct {
 	RecoveryWorkers   int
 
 	Shards       int   // persistence-path shard count (Config.Shards)
-	Async        bool  // pipelined advancer (Config.Async)
-	Backpressure int64 // advances that found the previous flush still in flight
+	Backpressure int64 // advances that ran longer than EpochLength (the ticker skipped or delayed a tick)
 	AdvanceP99NS int64 // p99 of AdvanceOnce wall time, nanoseconds
 
 	// Durability-engine identity and self-accounting (Config.Engine;
@@ -227,16 +218,6 @@ type System struct {
 
 	advMu sync.Mutex // serializes epoch advancement
 
-	// Async-advancer state. pendEpoch is the closed epoch whose flush
-	// has been handed to the background flusher (0 = none); the doorbell
-	// wakes the flusher, pendCond wakes advances blocked on backpressure.
-	pendMu      sync.Mutex
-	pendCond    *sync.Cond
-	pendEpoch   uint64
-	flusherGone bool
-	doorbell    chan struct{} // nil unless a background flusher runs
-	flusherDone chan struct{}
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -278,7 +259,6 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 		done:      make(chan struct{}),
 		shardCtrs: make([]shardCtr, cfg.Shards),
 	}
-	s.pendCond = sync.NewCond(&s.pendMu)
 	s.alloc.SetObs(cfg.Obs)
 	s.alloc.SetShards(cfg.Shards)
 	eng, err := durability.New(cfg.Engine, h, cfg.Shards, cfg.Obs)
@@ -295,9 +275,9 @@ func newSystem(h *nvm.Heap, cfg Config) *System {
 func New(h *nvm.Heap, cfg Config) *System {
 	s := newSystem(h, cfg.withDefaults())
 	s.global.Store(firstEpoch)
-	s.persisted.Store(firstEpoch - 2)
+	s.persisted.Store(firstEpoch - 1)
 	h.Store(rootMagicAddr, rootMagic)
-	s.eng.Format(firstEpoch - 2) // watermark + engine-identity words (+ log header)
+	s.eng.Format(firstEpoch - 1) // watermark + engine-identity words (+ log header)
 	h.FlushRange(rootMagicAddr, 3)
 	h.Fence()
 	s.startAdvancer()
@@ -308,11 +288,6 @@ func New(h *nvm.Heap, cfg Config) *System {
 func (s *System) Engine() durability.Engine { return s.eng }
 
 func (s *System) startAdvancer() {
-	if s.cfg.Async && !s.cfg.Manual {
-		s.doorbell = make(chan struct{}, 1)
-		s.flusherDone = make(chan struct{})
-		go s.flusherLoop()
-	}
 	if s.cfg.Manual {
 		close(s.done)
 		return
@@ -330,61 +305,6 @@ func (s *System) startAdvancer() {
 			}
 		}
 	}()
-}
-
-// flusherLoop is the async advancer's background flusher: each doorbell
-// ring drains the pending epoch's flush task. On Stop it exits without
-// draining — a crash may land while a flush is queued, which is exactly
-// the state recovery must (and does) handle, since the undrained epoch
-// is within the two-epoch window.
-func (s *System) flusherLoop() {
-	defer func() {
-		s.pendMu.Lock()
-		s.flusherGone = true
-		s.pendMu.Unlock()
-		s.pendCond.Broadcast()
-		close(s.flusherDone)
-	}()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.doorbell:
-		}
-		s.pendMu.Lock()
-		x := s.pendEpoch
-		s.pendMu.Unlock()
-		if x == 0 {
-			continue
-		}
-		if !s.runTaskRecover(x) {
-			// A persist hook simulated a power failure mid-flush: the
-			// flusher dies with the machine. The epoch stays pending;
-			// if the process survives (tests), the next AdvanceOnce
-			// sees flusherGone and drains inline.
-			return
-		}
-		s.pendMu.Lock()
-		s.pendEpoch = 0
-		s.pendMu.Unlock()
-		s.pendCond.Broadcast()
-		if o := s.cfg.Obs; o != nil {
-			o.SetGauge(obs.GFlusherDepth, 0)
-		}
-	}
-}
-
-// runTaskRecover runs a flush task on the flusher goroutine, converting
-// a panic (a crash-simulation hook) into a false return instead of
-// killing the process.
-func (s *System) runTaskRecover(x uint64) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	s.runTask(x)
-	return true
 }
 
 // Heap returns the underlying simulated NVM heap.
@@ -425,9 +345,9 @@ func (s *System) SubscribeDurable(ch chan<- uint64) (cancel func()) {
 }
 
 // notifyDurable pokes every subscriber after the durable watermark
-// reaches p. Called from the advance path with advMu held (or from the
-// background flusher), so it must never block: full subscriber channels
-// just miss this wake and catch up on the next.
+// reaches p. Called from the advance path with advMu held, so it must
+// never block: full subscriber channels just miss this wake and catch up
+// on the next.
 func (s *System) notifyDurable(p uint64) {
 	s.subMu.Lock()
 	for _, ch := range s.subs {
@@ -449,10 +369,7 @@ func (s *System) notifyDurable(p uint64) {
 // in aggregate) true in every snapshot: each freed block was retired
 // earlier, and both counters are monotone.
 func (s *System) Stats() Stats {
-	st := Stats{
-		Shards: s.cfg.Shards,
-		Async:  s.cfg.Async,
-	}
+	st := Stats{Shards: s.cfg.Shards}
 	for {
 		s1 := s.advSeq.Load()
 		if s1&1 != 0 {
@@ -510,26 +427,25 @@ func (s *System) eadr() bool { return s.heap.Mode() == nvm.ModeEADR }
 func (s *System) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
-	if s.flusherDone != nil {
-		<-s.flusherDone
-	}
 }
 
-// AdvanceOnce performs one epoch transition e -> e+1. In the classic
-// (sync) mode it runs the closing epoch's flush task inline before
-// publishing the new epoch, exactly the Montage-style advance:
+// AdvanceOnce performs one epoch transition e -> e+1. The advance is
+// pipelined: the new epoch is published before the closing one is
+// persisted, so operations in e+1 overlap the flush of e. On the calling
+// goroutine, under the advancer's serialization lock, it
 //
-//  1. wait for the in-flight epoch e-1 to quiesce,
-//  2. flush every NVM write tracked in epoch e-1 (and the DELETED markers
-//     of blocks retired in e-1), fanned out across Config.Shards,
-//  3. durably advance the persisted-epoch root to e-1,
-//  4. reclaim blocks retired in e-1, and
-//  5. publish the new active epoch e+1.
+//  1. catches up any epoch the watermark is behind — only after Recover,
+//     whose watermark P leaves the empty epoch P+1 to persist;
+//  2. publishes the new active epoch e+1;
+//  3. runs epoch e's task: waits for e to quiesce, flushes every NVM
+//     write tracked in e (and the DELETED markers of blocks retired in e)
+//     through the durability engine, fanned out across Config.Shards,
+//     durably advances the watermark to e, notifies subscribers, and
+//     reclaims the blocks retired in e.
 //
-// With Config.Async the order inverts: the new epoch is published first
-// and the flush of the epoch that just stopped being active overlaps
-// execution of the new one — handed to the background flusher goroutine
-// (doorbell), or, in Manual mode, run inline right after the publish.
+// Between advances the watermark therefore trails the active epoch by
+// one. A crash inside step 3 leaves watermark e-1 under global e+1, the
+// P >= crash_epoch-2 bound of the BDL window.
 //
 // Worker threads are never paused: operations keep starting in the
 // active epoch throughout. AdvanceOnce is normally driven by the
@@ -541,95 +457,29 @@ func (s *System) AdvanceOnce() {
 
 	t0 := time.Now()
 	e := s.global.Load()
-
-	if s.cfg.Async && s.doorbell != nil {
-		// Backpressure: at most one epoch's flush may be in flight. An
-		// advance that finds the previous hand-off still pending blocks
-		// until it lands, so at most two epochs are ever unflushed and
-		// recovery's window P >= crash_epoch - 2 is preserved.
-		s.pendMu.Lock()
-		if s.pendEpoch != 0 && !s.flusherGone {
-			s.backpressure.Add(1)
-			for s.pendEpoch != 0 && !s.flusherGone {
-				s.pendCond.Wait()
-			}
-		}
-		gone := s.flusherGone
-		s.pendMu.Unlock()
-		if !gone {
-			// Catch up any epochs the persisted clock is behind (fresh
-			// system, post-recovery), publish e+1, and hand epoch e —
-			// which quiesces once in-flight operations drain — to the
-			// flusher.
-			for p := s.persisted.Load(); p < e-1; p = s.persisted.Load() {
-				s.runTask(p + 1)
-			}
-			s.global.Store(e + 1)
-			s.stampClosed(e)
-			s.pendMu.Lock()
-			s.pendEpoch = e
-			s.pendMu.Unlock()
-			select {
-			case s.doorbell <- struct{}{}:
-			default:
-			}
-			if o := s.cfg.Obs; o != nil {
-				o.SetGauge(obs.GFlusherDepth, 1)
-			}
-			s.finishAdvance(e, t0)
-			return
-		}
-		// The flusher died mid-flush (a simulated power failure): fall
-		// through to the inline path and drain its abandoned epoch here.
-	}
-
-	if s.cfg.Async && e > firstEpoch && s.persisted.Load() < e-1 {
-		// Inline-async (Manual mode, or unwinding after flusher death):
-		// the pipelined flush had not landed when this advance arrived —
-		// count it as backpressure, same as the blocking wait above.
-		s.backpressure.Add(1)
-	}
-
-	// Drain every epoch the persisted clock is behind. In sync mode the
-	// invariant persisted == e-2 makes this exactly one task (epoch e-1),
-	// the classic advance; in inline-async mode it is normally a no-op
-	// because the previous advance flushed eagerly below.
 	for p := s.persisted.Load(); p < e-1; p = s.persisted.Load() {
 		s.runTask(p + 1)
 	}
-
 	s.global.Store(e + 1)
-	s.stampClosed(e)
-
-	if s.cfg.Async {
-		// Inline-async: eagerly flush the epoch that just stopped being
-		// active, deterministically modeling a flusher that caught up
-		// before the next advance (persisted == global-1 between
-		// advances, vs. global-2 in sync mode).
-		s.runTask(e)
-	}
-
-	s.finishAdvance(e, t0)
-}
-
-// stampClosed records when epoch e stopped being active, so runTask can
-// report how long it sat closed-but-volatile once it persists. The slot
-// ring reuses entries after numSlots epochs, safely past the two-epoch
-// persistence window.
-func (s *System) stampClosed(e uint64) {
-	if o := s.cfg.Obs; o != nil {
+	o := s.cfg.Obs
+	if o != nil {
 		s.closedNS[e%numSlots].Store(o.Now())
+		o.SetGauge(obs.GFlusherDepth, 1)
 	}
-}
+	s.runTask(e)
+	if o != nil {
+		o.SetGauge(obs.GFlusherDepth, 0)
+	}
 
-// finishAdvance publishes the bookkeeping for an advance that opened
-// epoch e+1: the advance counter and event, the wall-time sample, and
-// the OnAdvance callback. Runs under advMu.
-func (s *System) finishAdvance(e uint64, t0 time.Time) {
 	s.advances.Add(1)
-	s.advHist.Record(e, int64(time.Since(t0)))
-	if o := s.cfg.Obs; o != nil {
-		o.Hit(obs.MAdvances, obs.EvAdvance, e-1, e+1)
+	d := time.Since(t0)
+	if d > s.cfg.EpochLength {
+		// The advance outran its epoch: the ticker skips or delays a tick.
+		s.backpressure.Add(1)
+	}
+	s.advHist.Record(e, int64(d))
+	if o != nil {
+		o.Hit(obs.MAdvances, obs.EvAdvance, e, e+1)
 	}
 	if s.cfg.OnAdvance != nil {
 		s.cfg.OnAdvance(s.persisted.Load())
@@ -640,9 +490,8 @@ func (s *System) finishAdvance(e uint64, t0 time.Time) {
 // worker's tracked blocks for x partitioned by flusher shard, hands
 // them to the durability engine (which writes them back and durably
 // advances the watermark to x in its own discipline), and reclaims x's
-// retired blocks shard-locally. Callers
-// serialize tasks (advMu, or the flusher/pendEpoch hand-off protocol)
-// and guarantee x < the active epoch.
+// retired blocks shard-locally. Callers serialize tasks (advMu) and
+// guarantee x < the active epoch.
 func (s *System) runTask(x uint64) {
 	o := s.cfg.Obs
 	t := o.Now()

@@ -47,15 +47,20 @@ func TestFreshSystemEpochs(t *testing.T) {
 	if e := s.GlobalEpoch(); e != firstEpoch {
 		t.Fatalf("GlobalEpoch = %d, want %d", e, firstEpoch)
 	}
-	if p := s.PersistedEpoch(); p != firstEpoch-2 {
-		t.Fatalf("PersistedEpoch = %d, want %d", p, firstEpoch-2)
+	if p := s.PersistedEpoch(); p != firstEpoch-1 {
+		t.Fatalf("PersistedEpoch = %d, want %d", p, firstEpoch-1)
 	}
 	s.AdvanceOnce()
 	if e := s.GlobalEpoch(); e != firstEpoch+1 {
 		t.Fatalf("after advance GlobalEpoch = %d", e)
 	}
-	if p := s.PersistedEpoch(); p != firstEpoch-1 {
-		t.Fatalf("after advance PersistedEpoch = %d", p)
+	// The advance persists the epoch it closes: firstEpoch, not the empty
+	// epoch below it.
+	if p := s.PersistedEpoch(); p != firstEpoch {
+		t.Fatalf("after advance PersistedEpoch = %d, want %d", p, firstEpoch)
+	}
+	if c := s.Stats().EngineCommits; c != 1 {
+		t.Fatalf("after one advance engine commits = %d, want 1", c)
 	}
 }
 
@@ -112,8 +117,8 @@ func TestRetireReclaimsAfterTwoAdvances(t *testing.T) {
 	if st := s.Allocator().ReadHeader(b.Addr()).Status; st != palloc.Deleted {
 		t.Fatalf("status after PRetire = %v, want DELETED", st)
 	}
-	s.AdvanceOnce() // persists the retire epoch; free is deferred
-	s.AdvanceOnce() // reclaims
+	s.AdvanceOnce() // closes the retire epoch: persists its DELETED marker, then reclaims
+	s.AdvanceOnce() // must not free the block twice
 	if st := s.Allocator().ReadHeader(b.Addr()).Status; st != palloc.Free {
 		t.Fatalf("status after two advances = %v, want FREE", st)
 	}
@@ -277,8 +282,8 @@ func TestAdvanceWaitsForInFlight(t *testing.T) {
 	w.BeginOp()
 	advanced := make(chan struct{})
 	go func() {
-		s.AdvanceOnce() // must wait for epoch e-1? e-1 has no ops...
-		s.AdvanceOnce() // this one waits for w's op (now in-flight)
+		s.AdvanceOnce() // closes w's epoch and waits for its op to end
+		s.AdvanceOnce()
 		close(advanced)
 	}()
 	select {

@@ -1,11 +1,13 @@
 package epoch
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bdhtm/internal/durability"
 	"bdhtm/internal/nvm"
 )
 
@@ -90,30 +92,48 @@ func TestShardedStatsParity(t *testing.T) {
 	}
 }
 
+// TestAsyncManualPipelinesFlush pins the pipelined advance for every
+// durability engine and both shard widths: each AdvanceOnce publishes the
+// next epoch and then persists the one it closed, so after every advance
+// the watermark trails the active epoch by exactly one, the engine has
+// committed exactly one epoch per advance, and a write is durable after
+// the single advance that closes its epoch.
 func TestAsyncManualPipelinesFlush(t *testing.T) {
-	h := nvm.New(nvm.Config{Words: 1 << 16})
-	s := New(h, Config{Manual: true, Async: true, Shards: 2})
-	w := s.Register()
-	putKV(w, 3, 30)
-	e := s.GlobalEpoch()
-	s.AdvanceOnce()
-	// Async publishes first and then flushes the epoch that just stopped
-	// being active, so the persisted clock trails the global one by one
-	// (not two) between advances.
-	if g, p := s.GlobalEpoch(), s.PersistedEpoch(); g != e+1 || p != e {
-		t.Fatalf("after async advance global=%d persisted=%d, want %d/%d", g, p, e+1, e)
-	}
-	// The insert epoch just persisted: durable after a single advance.
-	s.SimulateCrash(nvm.CrashOptions{})
-	_, got := recoverAll(h)
-	if got[3] != 30 {
-		t.Fatalf("recovered %v, want key 3 -> 30", got)
+	for _, engine := range durability.Names() {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
+				h := nvm.New(nvm.Config{Words: 1 << 20})
+				cfg := Config{Manual: true, Shards: shards, Engine: engine}
+				s := New(h, cfg)
+				w := s.Register()
+				const advances = 6
+				for i := uint64(0); i < advances; i++ {
+					putKV(w, i, i*10)
+					s.AdvanceOnce()
+					g, p := s.GlobalEpoch(), s.PersistedEpoch()
+					if p != g-1 {
+						t.Fatalf("advance %d: global=%d persisted=%d, want persisted == global-1", i+1, g, p)
+					}
+					if c := s.Stats().EngineCommits; c != int64(i+1) {
+						t.Fatalf("advance %d: engine commits = %d, want %d", i+1, c, i+1)
+					}
+				}
+				s.SimulateCrash(nvm.CrashOptions{})
+				got := make(map[uint64]uint64)
+				Recover(h, cfg, func(r BlockRecord) { got[r.Block.Key()] = r.Block.Value() })
+				for k := uint64(0); k < advances; k++ {
+					if got[k] != k*10 {
+						t.Fatalf("recovered %v, want key %d -> %d", got, k, k*10)
+					}
+				}
+			})
+		}
 	}
 }
 
 func TestAsyncBackgroundAdvancer(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 18})
-	s := New(h, Config{EpochLength: time.Millisecond, Async: true, Shards: 2})
+	s := New(h, Config{EpochLength: time.Millisecond, Shards: 2})
 	w := s.Register()
 	for k := uint64(0); k < 32; k++ {
 		putKV(w, k, k+1)
@@ -128,12 +148,13 @@ func TestAsyncBackgroundAdvancer(t *testing.T) {
 	}
 }
 
-// TestAsyncWindowInvariant hammers an async background advancer while
+// TestAsyncWindowInvariant hammers the background advancer while
 // polling the two clocks: the recovery window P >= global-2 must hold at
-// every instant, backpressure notwithstanding.
+// every instant, including while an advance is persisting the epoch it
+// just closed.
 func TestAsyncWindowInvariant(t *testing.T) {
 	h := nvm.New(nvm.Config{Words: 1 << 22})
-	s := New(h, Config{EpochLength: 200 * time.Microsecond, Async: true, Shards: 4})
+	s := New(h, Config{EpochLength: 200 * time.Microsecond, Shards: 4})
 	defer s.Stop()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -172,8 +193,8 @@ func TestAsyncWindowInvariant(t *testing.T) {
 // double-free) and none may leak in an orphaned buffer.
 func TestWorkerChurnNoLostRetires(t *testing.T) {
 	for _, cfg := range []Config{
+		{Manual: true, Shards: 1},
 		{Manual: true, Shards: 4},
-		{Manual: true, Shards: 4, Async: true},
 	} {
 		cfg := cfg
 		h := nvm.New(nvm.Config{Words: 1 << 22})
@@ -298,22 +319,13 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 // BenchmarkAdvance measures one epoch advance closing a write-heavy
-// epoch (8 workers x 16 tracked blocks) across the shard/async matrix,
-// under the Optane latency profile so flush fan-out parallelism shows.
+// epoch (8 workers x 16 tracked blocks) at shard widths 1 and 4, under
+// the Optane latency profile so flush fan-out parallelism shows.
 func BenchmarkAdvance(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-		async  bool
-	}{
-		{"shards=1", 1, false},
-		{"shards=4", 4, false},
-		{"shards=1/async", 1, true},
-		{"shards=4/async", 4, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			h := nvm.New(nvm.Config{Words: 1 << 24, Latency: nvm.OptaneProfile})
-			s := New(h, Config{Manual: true, Shards: bc.shards, Async: bc.async})
+			s := New(h, Config{Manual: true, Shards: shards})
 			defer s.Stop()
 			ws := make([]*Worker, 8)
 			for i := range ws {

@@ -125,7 +125,7 @@ func (w *Worker) PTrack(b Block) {
 
 // PRetire tracks a block for future reclamation: it durably marks the
 // block DELETED in the current operation's epoch and defers the actual
-// free until that epoch has persisted (two epochs later). Call it after
+// free until that epoch has persisted (by the advance that closes it). Call it after
 // the transaction that unlinked the block has committed; exactly one
 // operation may retire a given block.
 func (w *Worker) PRetire(b Block) {

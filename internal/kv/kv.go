@@ -51,12 +51,11 @@ type Env struct {
 	// GlobalFallback selects the legacy single-word fallback lock instead
 	// of the default fine-grained hybrid slow path.
 	GlobalFallback bool
-	// EpochLength, Manual, Shards, Async, Engine and RecoveryWorkers
-	// shape the epoch system of buffered structures (see epoch.Config).
+	// EpochLength, Manual, Shards, Engine and RecoveryWorkers shape the
+	// epoch system of buffered structures (see epoch.Config).
 	EpochLength     time.Duration
 	Manual          bool
 	Shards          int
-	Async           bool
 	Engine          string
 	RecoveryWorkers int
 	// RecoveryTick reports recovery scan progress (see epoch.Config).
@@ -121,7 +120,6 @@ func (e Env) epochConfig() epoch.Config {
 		EpochLength:     e.EpochLength,
 		Manual:          e.Manual,
 		Shards:          e.Shards,
-		Async:           e.Async,
 		Engine:          e.Engine,
 		RecoveryWorkers: e.RecoveryWorkers,
 		RecoveryTick:    e.RecoveryTick,

@@ -318,77 +318,49 @@ func TestPerShardStatsParity(t *testing.T) {
 	}
 }
 
-// TestForcedBackpressure scripts the one schedule where an advance must
-// block: the background flusher is parked mid-flush on a gate while a
-// second epoch is already pending, so the third AdvanceOnce finds the
-// pipeline full, counts exactly one backpressure event, and waits. The
-// gate is released only after the waiter is observed, making the count
-// deterministic rather than timing-dependent.
+// TestForcedBackpressure scripts the one schedule where an advance
+// outruns its epoch: a persist hook holds the second advance's flush for
+// twice EpochLength, so that advance — and only that one — counts as
+// backpressure (behind it the background ticker would skip or delay a
+// tick). The flusher-depth gauge reads 1 inside the held flush and 0 once
+// it lands.
 func TestForcedBackpressure(t *testing.T) {
+	const epochLen = 50 * time.Millisecond
 	rec := obs.New("backpressure")
 	heap := nvm.New(nvm.Config{Words: 1 << 16})
 	heap.SetObs(rec)
 	sys := epoch.New(heap, epoch.Config{
-		EpochLength: time.Hour, // ticker never fires; the test owns every advance
-		Async:       true,
+		EpochLength: epochLen,
+		Manual:      true, // the test owns every advance
 		Obs:         rec,
 	})
 	defer sys.Stop()
 
-	var gateOn atomic.Bool
-	release := make(chan struct{})
+	var hold atomic.Bool
+	depthInFlush := int64(-1)
 	heap.SetPersistHook(func(nvm.PersistPoint, nvm.Addr) {
-		if gateOn.Load() {
-			<-release
+		if hold.CompareAndSwap(true, false) {
+			depthInFlush = rec.Gauge(obs.GFlusherDepth)
+			time.Sleep(2 * epochLen)
 		}
 	})
 
-	waitPersisted := func(e uint64) {
-		t.Helper()
-		for i := 0; i < 10000; i++ {
-			if sys.PersistedEpoch() >= e {
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		t.Fatalf("flusher never persisted epoch %d (persisted %d)", e, sys.PersistedEpoch())
+	sys.AdvanceOnce()
+	hold.Store(true)
+	sys.AdvanceOnce() // its flush is held past EpochLength
+	sys.AdvanceOnce()
+
+	if hold.Load() {
+		t.Fatal("the second advance's flush never reached the persist hook")
 	}
-
-	sys.AdvanceOnce() // posts epoch 2 to the flusher
-	waitPersisted(2)
-
-	gateOn.Store(true)
-	sys.AdvanceOnce() // posts epoch 3; flusher parks on the gate mid-flush
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sys.AdvanceOnce() // pipeline full: must count backpressure and wait
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Stats().Backpressure == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("third advance never registered backpressure")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	select {
-	case <-done:
-		t.Fatal("third advance returned while the flusher was parked")
-	default:
-	}
-
-	gateOn.Store(false)
-	close(release)
-	<-done
-	waitPersisted(4)
-
 	if got := sys.Stats().Backpressure; got != 1 {
 		t.Errorf("backpressure events = %d, want exactly 1", got)
 	}
+	if depthInFlush != 1 {
+		t.Errorf("flusher depth gauge = %d inside the held flush, want 1", depthInFlush)
+	}
 	if got := rec.Gauge(obs.GFlusherDepth); got != 0 {
-		t.Errorf("flusher depth gauge = %d after drain, want 0", got)
+		t.Errorf("flusher depth gauge = %d after the flush landed, want 0", got)
 	}
 }
 

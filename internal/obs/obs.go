@@ -270,9 +270,8 @@ func (m Metric) String() string {
 type GaugeID uint8
 
 const (
-	// GFlusherDepth is the async epoch advancer's queue depth: the number
-	// of closed epochs whose flush has been handed to the background
-	// flusher but not yet completed (0 or 1 under the two-epoch window).
+	// GFlusherDepth is the epoch advancer's flush depth: 1 while an
+	// advance is persisting the epoch it just closed, 0 otherwise.
 	GFlusherDepth GaugeID = iota
 
 	// Service-layer gauges (appended). GServeConns is open connections;

@@ -158,7 +158,9 @@ type EpochSummary struct {
 	FreedBlocks   int64 `json:"freed_blocks"`
 
 	// Persistence-path configuration and pipeline health (omitted by
-	// rows produced before the sharded advance pipeline existed).
+	// rows produced before the sharded advance pipeline existed). Async
+	// is set only by rows recorded while a serial advance order still
+	// existed; every advance is now pipelined and leaves it unset.
 	Shards       int   `json:"shards,omitempty"`
 	Async        bool  `json:"async,omitempty"`
 	AdvanceP99NS int64 `json:"advance_p99_ns,omitempty"`

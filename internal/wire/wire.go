@@ -150,8 +150,8 @@ type StatsSnap struct {
 	GlobalEpoch     uint64 // active epoch
 	PersistedEpoch  uint64 // durable watermark
 	Advances        uint64 // epoch advances since start
-	Backpressure    uint64 // advances that blocked on the flusher
-	FlusherDepth    uint64 // closed epochs handed to the flusher (0/1)
+	Backpressure    uint64 // advances that ran longer than an epoch
+	FlusherDepth    uint64 // 1 while an advance persists its closed epoch, else 0
 	Conns           uint64 // connections ever accepted
 	OpenConns       uint64 // connections currently open
 	Requests        uint64 // frames dispatched
